@@ -14,7 +14,13 @@ from functools import partial
 import numpy as np
 
 from repro.ml.preprocessing import LabelEncoder, one_hot
-from repro.ml.tree import FeatureBinner, HistogramTree, TreeParams
+from repro.ml.tree import (
+    FeatureBinner,
+    HistogramTree,
+    TreeParams,
+    _feature_importances,
+    _one_chunk,
+)
 from repro.par import pmap, spawn_seeds
 
 
@@ -76,48 +82,43 @@ class _ForestBase:
             max_features=self.max_features,
         )
 
-    def _fit_trees(self, X: np.ndarray, targets: np.ndarray) -> None:
-        t_start = time.perf_counter()
-        self.n_features_ = X.shape[1]
-        self._binner = FeatureBinner(self.max_bins)
-        binned = self._binner.fit_transform(X)
-        hess = np.ones_like(targets)
-        seeds = spawn_seeds(self.random_state, self.n_estimators)
-        self._trees = pmap(
-            partial(_fit_one_tree, binned, targets, hess,
-                    self._params(), self.bootstrap, self._binner.n_bins_),
-            seeds,
-            workers=self.workers,
-            label="forest.fit",
-        )
-        self.fit_telemetry_ = {
-            "model": self._MODEL_TAG,
-            "fit_wall_s": time.perf_counter() - t_start,
-            "n_trees": len(self._trees),
-            "n_train": len(X),
-        }
+    def _learn_targets(self, chunks) -> None:
+        """Fix the target space from the stream's raw targets."""
+
+    def fit(self, X, y):
+        """Fit on in-memory data: bin ``X``, then grow every tree."""
+        X = np.asarray(X, dtype=float)
+        binner = FeatureBinner(self.max_bins)
+        self._fit_trees_stream(_one_chunk(binner.fit_transform(X), y),
+                               binner, out_of_core=False)
+        return self
+
+    def fit_binned_stream(self, chunks, binner: FeatureBinner):
+        """Out-of-core fit from a re-iterable ``(binned, y)`` chunk stream
+        (see :meth:`_fit_trees_stream` for the contract)."""
+        self._fit_trees_stream(chunks, binner, out_of_core=True)
+        return self
 
     def _fit_trees_stream(self, chunks, binner: FeatureBinner,
-                          targets_of) -> None:
-        """Out-of-core tree fitting from a re-iterable ``(binned, y)`` stream.
+                          out_of_core: bool) -> None:
+        """Tree fitting from a re-iterable ``(binned, y)`` stream.
 
-        Bootstrap resampling becomes *row weighting*: tree ``i`` draws
-        its multinomial bootstrap counts from the same index-keyed seed
-        the in-memory path uses, then grows with ``grad = w * target``
-        and ``hess = w`` -- the weighted leaf mean equals the
-        duplicated-row mean, but ``min_samples_leaf`` counts distinct
-        rows (not draw multiplicity) and trees grow serially (``workers``
-        is unused out of core), so a multi-chunk streamed forest is
-        deterministic for a seed yet not identical to the in-memory
-        forest.  A single-chunk stream gathers and reproduces the
-        in-memory per-tree fit exactly.
-
-        ``targets_of(y_chunk)`` maps a raw target chunk to the (m, k)
-        regression target (identity column for regression, one-hot for
-        classification).
+        In-memory data arrives as a one-chunk stream: its trees grow
+        from the gathered chunk on ``workers`` processes, each from its
+        own index-keyed seed.  Longer streams never gather: bootstrap
+        resampling becomes *row weighting*: tree ``i`` draws its
+        multinomial bootstrap counts from the same seed, then grows
+        with ``grad = w * target`` and ``hess = w`` -- the weighted leaf
+        mean equals the duplicated-row mean, but ``min_samples_leaf``
+        counts distinct rows (not draw multiplicity) and trees grow
+        serially (``workers`` is unused), so a multi-chunk streamed
+        forest is deterministic for a seed yet not identical to the
+        in-memory forest.  ``out_of_core`` marks a caller's stream in
+        ``fit_telemetry_``.
         """
         if binner.edges_ is None:
             raise RuntimeError("binner is not fitted")
+        self._learn_targets(chunks)
         t_start = time.perf_counter()
         lens, d = [], None
         for binned, _ in chunks():
@@ -133,13 +134,15 @@ class _ForestBase:
         offsets = np.concatenate([[0], np.cumsum(lens)])
         if len(lens) == 1:
             (binned0, y0), = chunks()
-            targets = targets_of(y0)
+            targets = self._targets(y0)
             hess = np.ones_like(targets)
-            self._trees = [
-                _fit_one_tree(np.asarray(binned0), targets, hess, params,
-                              self.bootstrap, binner.n_bins_, seed)
-                for seed in seeds
-            ]
+            self._trees = pmap(
+                partial(_fit_one_tree, np.asarray(binned0), targets, hess,
+                        params, self.bootstrap, binner.n_bins_),
+                seeds,
+                workers=self.workers,
+                label="forest.fit",
+            )
         else:
             self._trees = []
             for seed in seeds:
@@ -152,7 +155,7 @@ class _ForestBase:
 
                 def tree_chunks():
                     for i, (binned, y) in enumerate(chunks()):
-                        targets = targets_of(y)
+                        targets = self._targets(y)
                         if counts is None:
                             yield binned, targets, None
                         else:
@@ -173,8 +176,9 @@ class _ForestBase:
             "fit_wall_s": time.perf_counter() - t_start,
             "n_trees": len(self._trees),
             "n_train": n,
-            "out_of_core": True,
         }
+        if out_of_core:
+            self.fit_telemetry_["out_of_core"] = True
 
     def _mean_prediction(self, X) -> np.ndarray:
         if self._binner is None:
@@ -189,11 +193,7 @@ class _ForestBase:
     def feature_importances_(self) -> np.ndarray:
         if self._binner is None:
             raise RuntimeError("model is not fitted")
-        total = np.zeros(self.n_features_)
-        for tree in self._trees:
-            total += tree.feature_gain_
-        s = total.sum()
-        return total / s if s > 0 else total
+        return _feature_importances(self._trees, self.n_features_)
 
 
 class RandomForestRegressor(_ForestBase):
@@ -201,23 +201,8 @@ class RandomForestRegressor(_ForestBase):
 
     _MODEL_TAG = "rf_regressor"
 
-    def fit(self, X, y) -> "RandomForestRegressor":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).reshape(-1, 1)
-        if len(X) != len(y):
-            raise ValueError("X/y length mismatch")
-        self._fit_trees(X, y)
-        return self
-
-    def fit_binned_stream(self, chunks, binner: FeatureBinner
-                          ) -> "RandomForestRegressor":
-        """Out-of-core fit from a re-iterable ``(binned, y)`` chunk stream
-        (see :meth:`_ForestBase._fit_trees_stream` for the contract)."""
-        self._fit_trees_stream(
-            chunks, binner,
-            lambda y: np.asarray(y, dtype=float).reshape(-1, 1),
-        )
-        return self
+    def _targets(self, y) -> np.ndarray:
+        return np.asarray(y, dtype=float).reshape(-1, 1)
 
     def predict(self, X) -> np.ndarray:
         return self._mean_prediction(X)[:, 0]
@@ -228,33 +213,13 @@ class RandomForestClassifier(_ForestBase):
 
     _MODEL_TAG = "rf_classifier"
 
-    def fit(self, X, y) -> "RandomForestClassifier":
-        X = np.asarray(X, dtype=float)
-        self.encoder_ = LabelEncoder()
-        codes = self.encoder_.fit_transform(y)
-        Y = one_hot(codes, len(self.encoder_.classes_))
-        self._fit_trees(X, Y)
-        return self
+    def _learn_targets(self, chunks) -> None:
+        # Classes are the sorted union of labels across the chunks.
+        self.encoder_ = LabelEncoder().fit_stream(y for _, y in chunks())
 
-    def fit_binned_stream(self, chunks, binner: FeatureBinner
-                          ) -> "RandomForestClassifier":
-        """Out-of-core fit from a re-iterable ``(binned, y)`` chunk stream
-        (see :meth:`_ForestBase._fit_trees_stream` for the contract).
-        Classes are the sorted union of labels across the stream."""
-        classes = None
-        for _, y in chunks():
-            u = np.unique(np.asarray(y))
-            classes = u if classes is None else np.union1d(classes, u)
-        if classes is None:
-            raise ValueError("empty chunk stream")
-        self.encoder_ = LabelEncoder()
-        self.encoder_.classes_ = classes
-        k = len(classes)
-        self._fit_trees_stream(
-            chunks, binner,
-            lambda y: one_hot(self.encoder_.transform(np.asarray(y)), k),
-        )
-        return self
+    def _targets(self, y) -> np.ndarray:
+        return one_hot(self.encoder_.transform(np.asarray(y)),
+                       len(self.encoder_.classes_))
 
     def predict_proba(self, X) -> np.ndarray:
         scores = np.clip(self._mean_prediction(X), 0.0, None)

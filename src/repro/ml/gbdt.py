@@ -7,34 +7,61 @@ regression, and interpretable via global feature importance.  This module
 provides all four properties from scratch on the histogram-tree core:
 
 * :class:`GBDTRegressor` -- squared-error boosting.
+* :class:`GBDTQuantileRegressor` -- pinball-loss boosting with
+  alpha-quantile leaf refits.
 * :class:`GBDTClassifier` -- multi-class softmax boosting with Newton leaf
   values.
-* both expose ``feature_importances_`` (normalized total split gain, the
+* all expose ``feature_importances_`` (normalized total split gain, the
   construction behind Fig. 22).
 
 Defaults are scaled to laptop-size data (hundreds of trees rather than
 8000); DESIGN.md documents this substitution.
 
+One boosting driver (:meth:`_GBDTBase._drive`) runs every round of every
+family and every entry point.  It reads a re-iterable stream of
+``(binned, y)`` chunks: ``fit_binned_stream`` / ``fit_more_binned_stream``
+hand it the caller's stream (the colstore pipeline's ``bin_store``), and
+``fit`` / ``fit_more`` hand it the in-memory data as a one-chunk stream.
+A small per-family loss object (:class:`_SquaredError`,
+:class:`_PinballLoss`, :class:`_SoftmaxLoss`) carries what differs: the
+init score, per-chunk gradients and hessians, the quantile leaf refit and
+the train loss.  The driver owns the rest: the round loop, the in-bag
+mask (one ``rng.random(n)`` draw per round, sliced per chunk), replaying
+existing trees for warm starts, the ``gbdt.*`` metrics and
+``fit_telemetry_``.  Trees grow through
+:meth:`~repro.ml.tree.HistogramTree.fit_binned_chunks`, which sends a
+single chunk to the exact in-memory engine, so ``fit`` and a one-chunk
+``fit_binned_stream`` are one computation; longer streams grow level by
+level and match to summation order (docs/colstore.md).  ``subsample <
+1`` is in-memory only, and so is the quantile family, whose leaf refit
+needs every in-bag residual of a leaf at once.
+
 Warm starts (docs/continuous_learning.md): every family supports
 ``fit_more(n_rounds, X, y)`` -- append boosting rounds on fresh data while
-reusing the existing trees, binner, and base score.  The per-round loop is
-shared between ``fit`` and ``fit_more`` and the boosting generator is kept
-on the model, so ``fit(k)`` followed by ``fit_more(n - k)`` on identical
-data is bit-identical to a single ``fit(n)``
-(tests/ml/test_warm_start.py).  Constructing with ``warm_start=True``
-makes repeated ``fit`` calls append rounds instead of refitting from
-scratch.
+reusing the existing trees, binner, and base score.  The boosting
+generator is kept on the model, so ``fit(k)`` followed by
+``fit_more(n - k)`` on identical data is bit-identical to a single
+``fit(n)`` (tests/ml/test_warm_start.py).  Constructing with
+``warm_start=True`` makes repeated ``fit`` calls append rounds instead of
+refitting from scratch.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 
 import numpy as np
 
 from repro import obs
 from repro.ml.preprocessing import LabelEncoder, one_hot
-from repro.ml.tree import FeatureBinner, HistogramTree, TreeParams
+from repro.ml.tree import (
+    FeatureBinner,
+    HistogramTree,
+    TreeParams,
+    _feature_importances,
+    _one_chunk,
+)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -43,13 +70,120 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _pinball_loss(residual: np.ndarray, alpha: float) -> float:
-    return float(np.mean(
-        np.where(residual >= 0.0, alpha * residual, (alpha - 1.0) * residual)
-    ))
+class _SquaredError:
+    """Least squares: the residual is the gradient, hessians are one.
+
+    A loss object carries what differs between boosting families; its
+    ``state`` is the per-row raw score of one chunk.
+    """
+
+    tag = "gbdt_regressor"
+
+    def __init__(self, model: "_GBDTBase"):
+        self.model = model
+
+    def partial(self, y: np.ndarray):
+        """One chunk's share of the init score."""
+        return y.sum()
+
+    def init(self, partials: list, n: int) -> None:
+        """Set the base score from every chunk's ``partial``."""
+        self.model.base_score_ = float(np.sum(partials) / n)
+
+    def start(self, m: int) -> np.ndarray:
+        return np.full(m, self.model.base_score_)
+
+    def gradients(self, state: np.ndarray, y: np.ndarray):
+        """Per-row (grad, hess) for one chunk; ``hess=None`` is all ones."""
+        return (y - state)[:, None], None
+
+    def refit(self, tree: HistogramTree, rows) -> None:
+        """Post-growth leaf refit over the in-bag ``(binned, y, state)``."""
+
+    def step(self, i: int, binned: np.ndarray) -> np.ndarray:
+        """Tree ``i``'s unshrunken output per row."""
+        return self.model._trees[i].predict_binned(binned)[:, 0]
+
+    def loss_sum(self, state: np.ndarray, y: np.ndarray) -> float:
+        return float(np.sum((y - state) ** 2))
+
+
+class _PinballLoss(_SquaredError):
+    """Pinball loss: sign pseudo-residuals, alpha-quantile leaf refits."""
+
+    tag = "gbdt_quantile_regressor"
+
+    def partial(self, y: np.ndarray) -> np.ndarray:
+        return y
+
+    def init(self, partials: list, n: int) -> None:
+        self.model.base_score_ = float(
+            np.quantile(np.concatenate(partials), self.model.quantile))
+        #: Per tree: refit alpha-quantile leaf values indexed by node id
+        #: (zero at internal nodes), so prediction is one array gather.
+        self.model._leaf_values = []
+
+    def gradients(self, state, y):
+        alpha = self.model.quantile
+        return np.where(y - state >= 0.0, alpha, alpha - 1.0)[:, None], None
+
+    def refit(self, tree, rows) -> None:
+        leaves, residual = [], []
+        for binned, y, state in rows:
+            leaves.append(tree.apply(binned))
+            residual.append(y - state)
+        leaves, residual = np.concatenate(leaves), np.concatenate(residual)
+        # Every tree leaf holds in-bag rows by construction, so the
+        # refit quantile is defined wherever out-of-bag rows land.
+        leaf_vals = np.zeros(len(tree.nodes))
+        for leaf in np.unique(leaves):
+            leaf_vals[leaf] = np.quantile(residual[leaves == leaf],
+                                          self.model.quantile)
+        self.model._leaf_values.append(leaf_vals)
+
+    def step(self, i, binned):
+        model = self.model
+        return model._leaf_values[i][model._trees[i].apply(binned)]
+
+    def loss_sum(self, state, y) -> float:
+        alpha, residual = self.model.quantile, y - state
+        return float(np.sum(np.where(residual >= 0.0, alpha * residual,
+                                     (alpha - 1.0) * residual)))
+
+
+class _SoftmaxLoss(_SquaredError):
+    """Multi-class log loss over integer class codes; state is logits."""
+
+    tag = "gbdt_classifier"
+
+    def partial(self, y):
+        return np.bincount(y, minlength=len(self.model.classes_))
+
+    def init(self, partials, n) -> None:
+        # Log-prior initial logits.
+        priors = np.clip(np.sum(partials, axis=0) / n, 1e-9, 1.0)
+        self.model.base_logits_ = np.log(priors)
+
+    def start(self, m):
+        return np.tile(self.model.base_logits_, (m, 1))
+
+    def gradients(self, state, y):
+        p = softmax(state)
+        return (one_hot(y, len(self.model.classes_)) - p,
+                np.clip(p * (1.0 - p), 1e-6, None))
+
+    def step(self, i, binned):
+        return self.model._trees[i].predict_binned(binned)
+
+    def loss_sum(self, state, y) -> float:
+        picked = np.clip(softmax(state)[np.arange(len(y)), y], 1e-12, 1.0)
+        return float(np.sum(-np.log(picked)))
 
 
 class _GBDTBase:
+    #: The family's loss object type (see :class:`_SquaredError`).
+    _LOSS = _SquaredError
+
     def __init__(
         self,
         n_estimators: int = 300,
@@ -117,96 +251,189 @@ class _GBDTBase:
                 f"expected {self.n_features_} features, got {n_features}"
             )
 
+    # -- targets: what the classifier overrides ------------------------------ #
+
+    def _learn_targets(self, chunks) -> None:
+        """Fix the target space from the stream's raw targets (cold fits)."""
+
+    def _targets(self, y) -> np.ndarray:
+        """Raw targets -> the form the loss reads."""
+        return np.asarray(y, dtype=float).ravel()
+
+    # -- entry points --------------------------------------------------------- #
+
+    def fit(self, X, y):
+        """Fit ``n_estimators`` rounds from scratch on in-memory data.
+
+        With ``warm_start=True`` and an already-fitted model, append the
+        rounds through :meth:`fit_more` instead.
+        """
+        X = np.asarray(X, dtype=float)
+        if self.warm_start and self._binner is not None:
+            return self.fit_more(self.n_estimators, X, y)
+        binner = FeatureBinner(self.max_bins)
+        return self._drive(self.n_estimators,
+                           _one_chunk(binner.fit_transform(X), y), binner)
+
+    def fit_more(self, n_rounds: int, X, y):
+        """Warm start: append ``n_rounds`` trees fitted on fresh data.
+
+        The binner and base score stay frozen from the original fit --
+        for the classifier the class set too, and labels outside it
+        raise ``ValueError``.  Per-row boosting state is rebuilt by
+        replaying the existing trees in the exact float-op order ``fit``
+        used, so ``fit(k); fit_more(n - k)`` on identical data
+        reproduces a single ``fit(n)`` bit for bit.
+        """
+        n_rounds = int(n_rounds)
+        X = np.asarray(X, dtype=float)
+        self._check_fit_more(n_rounds, X.shape[1])
+        return self._drive(n_rounds, _one_chunk(self._binner.transform(X), y))
+
+    # -- the boosting driver -------------------------------------------------- #
+
+    def _scores(self, binned: np.ndarray) -> np.ndarray:
+        """Raw score per row: base plus every tree's shrunken step."""
+        loss = self._LOSS(self)
+        out = loss.start(len(binned))
+        for i in range(len(self._trees)):
+            out += self.learning_rate * loss.step(i, binned)
+        return out
+
+    def _drive(self, n_rounds: int, chunks, binner: FeatureBinner | None = None,
+               out_of_core: bool = False):
+        """Run ``n_rounds`` boosting rounds over a ``(binned, y)`` stream.
+
+        ``chunks`` is a zero-arg callable returning a fresh iterator
+        over the same chunks on every call, ``y`` raw.  Given a fitted
+        ``binner`` the fit is cold: fresh generator, target space and
+        base score from one pass, no trees.  Without one, rounds append
+        to the fitted model after every existing tree is replayed onto
+        the new rows.  ``out_of_core`` marks a caller's stream (the
+        ``*_binned_stream`` entry points): it is re-read every pass,
+        its targets mapped chunk by chunk, and ``subsample < 1`` -- a
+        row gather -- is refused.  In-memory data is mapped once.
+        """
+        if out_of_core and self.subsample < 1.0:
+            raise NotImplementedError(
+                "subsample < 1.0 requires the in-memory fit")
+        if binner is None:
+            self._check_fitted()
+        else:
+            if binner.edges_ is None:
+                raise RuntimeError("binner is not fitted")
+            self._learn_targets(chunks)
+        if out_of_core:
+            def data():
+                return ((b, self._targets(y)) for b, y in chunks())
+        else:
+            coded = [(b, self._targets(y)) for b, y in chunks()]
+
+            def data():
+                return iter(coded)
+        loss = self._LOSS(self)
+        lens, partials, d = [], [], None
+        for binned, y in data():
+            lens.append(len(y))
+            partials.append(loss.partial(y))
+            d = np.asarray(binned).shape[1]
+        n = int(np.sum(lens))
+        if n == 0:
+            raise ValueError("empty chunk stream")
+        if binner is None:
+            self._check_fit_more(n_rounds, d)
+            if self._rng is None:
+                self._rng = self._warm_rng()
+            state = [self._scores(binned) for binned, _ in data()]
+        else:
+            self._rng = np.random.default_rng(self.random_state)
+            self.n_features_, self._binner, self._trees = d, binner, []
+            loss.init(partials, n)
+            state = [loss.start(m) for m in lens]
+        offsets = np.cumsum([0] + lens)
+
+        def rows(inbag):
+            """Per chunk ``(binned, y, state)``, in-bag rows only."""
+            for c, (binned, y) in enumerate(data()):
+                s = state[c]
+                if inbag is not None:
+                    keep = inbag[offsets[c]:offsets[c + 1]]
+                    binned, y, s = binned[keep], y[keep], s[keep]
+                yield binned, y, s
+
+        def grad_chunks(inbag):
+            for binned, y, s in rows(inbag):
+                yield (binned, *loss.gradients(s, y))
+
+        params = self._tree_params()
+        n_bins = self._binner.n_bins_
+        obs_on = obs.enabled()
+        t_start = time.perf_counter()
+        for r in range(n_rounds):
+            round_t0 = time.perf_counter() if obs_on else 0.0
+            inbag = (self._rng.random(n) < self.subsample
+                     if self.subsample < 1.0 else None)
+            tree = HistogramTree(params).fit_binned_chunks(
+                partial(grad_chunks, inbag), rng=self._rng, n_bins=n_bins)
+            loss.refit(tree, rows(inbag))
+            self._trees.append(tree)
+            i = len(self._trees) - 1
+            scored = obs_on or r == n_rounds - 1
+            total = 0.0
+            # Targets are mapped only when the loss is read.
+            for c, (binned, y) in enumerate(data() if scored else chunks()):
+                state[c] += self.learning_rate * loss.step(i, binned)
+                if scored:
+                    total += loss.loss_sum(state[c], y)
+            if obs_on:
+                obs.inc("gbdt.rounds_total")
+                obs.observe("gbdt.round_s", time.perf_counter() - round_t0)
+                obs.set_gauge("gbdt.train_loss", total / n)
+        self.fit_telemetry_ = {
+            "model": loss.tag,
+            "fit_wall_s": time.perf_counter() - t_start,
+            "rounds_completed": len(self._trees),
+            "final_train_loss": total / n,
+        }
+        if out_of_core:
+            self.fit_telemetry_.update(out_of_core=True, n_train=n)
+        return self
+
     @property
     def feature_importances_(self) -> np.ndarray:
         """Split-gain importance normalized to sum to 1 (Fig. 22)."""
         self._check_fitted()
-        total = np.zeros(self.n_features_)
-        for tree in self._trees:
-            total += tree.feature_gain_
-        s = total.sum()
-        return total / s if s > 0 else total
+        return _feature_importances(self._trees, self.n_features_)
+
+    # -- prediction ----------------------------------------------------------- #
+
+    def _decode(self, score: np.ndarray) -> np.ndarray:
+        """Raw scores -> predictions (the regressors predict the score)."""
+        return score
+
+    def _raw(self, X) -> np.ndarray:
+        self._check_fitted()
+        return self._scores(self._binner.transform(np.asarray(X, dtype=float)))
+
+    def predict(self, X) -> np.ndarray:
+        return self._decode(self._raw(X))
 
     def staged_errors(self, X, y, metric) -> list[float]:
         """Metric after each boosting stage (for learning-curve ablations)."""
-        raise NotImplementedError
+        self._check_fitted()
+        binned = self._binner.transform(np.asarray(X, dtype=float))
+        y = np.asarray(y)
+        loss = self._LOSS(self)
+        score = loss.start(len(binned))
+        out = []
+        for i in range(len(self._trees)):
+            score += self.learning_rate * loss.step(i, binned)
+            out.append(metric(y, self._decode(score)))
+        return out
 
 
 class GBDTRegressor(_GBDTBase):
     """Least-squares gradient boosting."""
-
-    def fit(self, X, y) -> "GBDTRegressor":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if len(X) != len(y):
-            raise ValueError("X/y length mismatch")
-        if self.warm_start and self._binner is not None:
-            return self.fit_more(self.n_estimators, X, y)
-        self._rng = np.random.default_rng(self.random_state)
-        self.n_features_ = X.shape[1]
-        self._binner = FeatureBinner(self.max_bins)
-        binned = self._binner.fit_transform(X)
-        self.base_score_ = float(y.mean())
-        self._trees = []
-        current = np.full(len(y), self.base_score_)
-        self._boost(self.n_estimators, binned, y, current)
-        return self
-
-    def fit_more(self, n_rounds: int, X, y) -> "GBDTRegressor":
-        """Warm start: append ``n_rounds`` trees fitted on fresh data.
-
-        The binner and base score stay frozen from the original fit;
-        per-row boosting state is rebuilt by replaying the existing
-        trees in the exact float-op order ``fit`` used, so
-        ``fit(k); fit_more(n - k)`` on identical data reproduces a
-        single ``fit(n)`` bit for bit.
-        """
-        n_rounds = int(n_rounds)
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if len(X) != len(y):
-            raise ValueError("X/y length mismatch")
-        self._check_fit_more(n_rounds, X.shape[1])
-        if self._rng is None:
-            self._rng = self._warm_rng()
-        binned = self._binner.transform(X)
-        current = np.full(len(y), self.base_score_)
-        for tree in self._trees:
-            current += self.learning_rate * tree.predict_binned(binned)[:, 0]
-        self._boost(n_rounds, binned, y, current)
-        return self
-
-    def _boost(self, n_rounds: int, binned, y, current) -> None:
-        rng = self._rng
-        ones = np.ones((len(y), 1))
-        params = self._tree_params()
-        obs_on = obs.enabled()
-        t_start = time.perf_counter()
-        for _ in range(n_rounds):
-            round_t0 = time.perf_counter() if obs_on else 0.0
-            residual = (y - current)[:, None]
-            if self.subsample < 1.0:
-                rows = rng.random(len(y)) < self.subsample
-                sub_binned, sub_g, sub_h = (
-                    binned[rows], residual[rows], ones[rows]
-                )
-            else:
-                sub_binned, sub_g, sub_h = binned, residual, ones
-            tree = HistogramTree(params).fit(sub_binned, sub_g, sub_h, rng=rng,
-                                             n_bins=self._binner.n_bins_)
-            self._trees.append(tree)
-            current += self.learning_rate * tree.predict_binned(binned)[:, 0]
-            if obs_on:
-                obs.inc("gbdt.rounds_total")
-                obs.observe("gbdt.round_s", time.perf_counter() - round_t0)
-                obs.set_gauge("gbdt.train_loss",
-                              float(np.mean((y - current) ** 2)))
-        self.fit_telemetry_ = {
-            "model": "gbdt_regressor",
-            "fit_wall_s": time.perf_counter() - t_start,
-            "rounds_completed": len(self._trees),
-            "final_train_loss": float(np.mean((y - current) ** 2)),
-        }
 
     def fit_binned_stream(self, chunks, binner: FeatureBinner
                           ) -> "GBDTRegressor":
@@ -223,28 +450,8 @@ class GBDTRegressor(_GBDTBase):
         order (docs/colstore.md).  ``subsample < 1`` needs row gathers
         and is not supported out of core.
         """
-        if self.subsample < 1.0:
-            raise NotImplementedError(
-                "subsample < 1.0 requires the in-memory fit")
-        if binner.edges_ is None:
-            raise RuntimeError("binner is not fitted")
-        self._rng = np.random.default_rng(self.random_state)
-        lens, sums, d = [], [], None
-        for binned, y in chunks():
-            y = np.asarray(y, dtype=float).ravel()
-            lens.append(len(y))
-            sums.append(y.sum())
-            d = np.asarray(binned).shape[1]
-        n = int(np.sum(lens))
-        if n == 0:
-            raise ValueError("empty chunk stream")
-        self.n_features_ = d
-        self._binner = binner
-        self.base_score_ = float(np.sum(sums) / n)
-        current = [np.full(m, self.base_score_) for m in lens]
-        self._trees = []
-        self._boost_stream(self.n_estimators, chunks, current, n)
-        return self
+        return self._drive(self.n_estimators, chunks, binner,
+                           out_of_core=True)
 
     def fit_more_binned_stream(self, n_rounds: int, chunks
                                ) -> "GBDTRegressor":
@@ -256,83 +463,7 @@ class GBDTRegressor(_GBDTBase):
         plus ``fit_more_binned_stream(n - k)`` over the same stream bit
         for bit.  The refit data is only ever seen one chunk at a time.
         """
-        n_rounds = int(n_rounds)
-        if self.subsample < 1.0:
-            raise NotImplementedError(
-                "subsample < 1.0 requires the in-memory fit")
-        lens, d = [], None
-        for binned, y in chunks():
-            y = np.asarray(y, dtype=float).ravel()
-            lens.append(len(y))
-            d = np.asarray(binned).shape[1]
-        self._check_fit_more(n_rounds, d)
-        n = int(np.sum(lens))
-        if n == 0:
-            raise ValueError("empty chunk stream")
-        current = [np.full(m, self.base_score_) for m in lens]
-        for tree in self._trees:
-            for i, (binned, _) in enumerate(chunks()):
-                current[i] += (self.learning_rate
-                               * tree.predict_binned(binned)[:, 0])
-        if self._rng is None:
-            self._rng = self._warm_rng()
-        self._boost_stream(n_rounds, chunks, current, n)
-        return self
-
-    def _boost_stream(self, n_rounds: int, chunks, current, n: int) -> None:
-        rng = self._rng
-        params = self._tree_params()
-        obs_on = obs.enabled()
-        t_start = time.perf_counter()
-
-        def grad_chunks():
-            for i, (binned, y) in enumerate(chunks()):
-                y = np.asarray(y, dtype=float).ravel()
-                yield binned, (y - current[i])[:, None], None
-
-        sq_err = 0.0
-        for _ in range(n_rounds):
-            round_t0 = time.perf_counter() if obs_on else 0.0
-            tree = HistogramTree(params).fit_binned_chunks(
-                grad_chunks, rng=rng, n_bins=self._binner.n_bins_)
-            self._trees.append(tree)
-            sq_err = 0.0
-            for i, (binned, y) in enumerate(chunks()):
-                y = np.asarray(y, dtype=float).ravel()
-                current[i] += (self.learning_rate
-                               * tree.predict_binned(binned)[:, 0])
-                sq_err += float(np.sum((y - current[i]) ** 2))
-            if obs_on:
-                obs.inc("gbdt.rounds_total")
-                obs.observe("gbdt.round_s", time.perf_counter() - round_t0)
-                obs.set_gauge("gbdt.train_loss", sq_err / n)
-        self.fit_telemetry_ = {
-            "model": "gbdt_regressor",
-            "fit_wall_s": time.perf_counter() - t_start,
-            "rounds_completed": len(self._trees),
-            "final_train_loss": sq_err / n,
-            "out_of_core": True,
-            "n_train": n,
-        }
-
-    def predict(self, X) -> np.ndarray:
-        self._check_fitted()
-        binned = self._binner.transform(np.asarray(X, dtype=float))
-        out = np.full(len(binned), self.base_score_)
-        for tree in self._trees:
-            out += self.learning_rate * tree.predict_binned(binned)[:, 0]
-        return out
-
-    def staged_errors(self, X, y, metric) -> list[float]:
-        self._check_fitted()
-        binned = self._binner.transform(np.asarray(X, dtype=float))
-        y = np.asarray(y, dtype=float)
-        out = []
-        current = np.full(len(binned), self.base_score_)
-        for tree in self._trees:
-            current += self.learning_rate * tree.predict_binned(binned)[:, 0]
-            out.append(metric(y, current))
-        return out
+        return self._drive(int(n_rounds), chunks, out_of_core=True)
 
 
 class GBDTQuantileRegressor(_GBDTBase):
@@ -343,114 +474,17 @@ class GBDTQuantileRegressor(_GBDTBase):
     of its residuals (the classical GBM quantile recipe).  Quantile
     predictions are what risk-aware consumers need -- e.g. an ABR policy
     that wants "throughput I can count on 90% of the time" rather than
-    the conditional mean.
+    the conditional mean.  In-memory only: the leaf refit needs every
+    in-bag residual of a leaf at once.
     """
+
+    _LOSS = _PinballLoss
 
     def __init__(self, quantile: float = 0.5, **kwargs):
         if not 0.0 < quantile < 1.0:
             raise ValueError("quantile must be in (0, 1)")
         super().__init__(**kwargs)
         self.quantile = quantile
-
-    def fit(self, X, y) -> "GBDTQuantileRegressor":
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if len(X) != len(y):
-            raise ValueError("X/y length mismatch")
-        if self.warm_start and self._binner is not None:
-            return self.fit_more(self.n_estimators, X, y)
-        self._rng = np.random.default_rng(self.random_state)
-        self.n_features_ = X.shape[1]
-        self._binner = FeatureBinner(self.max_bins)
-        binned = self._binner.fit_transform(X)
-        self.base_score_ = float(np.quantile(y, self.quantile))
-        current = np.full(len(y), self.base_score_)
-        self._trees = []
-        #: Per tree: refit alpha-quantile leaf values indexed by node id
-        #: (zero at internal nodes), so prediction is one array gather.
-        self._leaf_values: list[np.ndarray] = []
-        self._boost(self.n_estimators, binned, y, current)
-        return self
-
-    def fit_more(self, n_rounds: int, X, y) -> "GBDTQuantileRegressor":
-        """Warm start: append ``n_rounds`` quantile trees on fresh data.
-
-        Same contract as :meth:`GBDTRegressor.fit_more` -- frozen binner
-        and base quantile, state replayed tree by tree, bit-identical to
-        one longer ``fit`` on identical data.
-        """
-        n_rounds = int(n_rounds)
-        X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        if len(X) != len(y):
-            raise ValueError("X/y length mismatch")
-        self._check_fit_more(n_rounds, X.shape[1])
-        if self._rng is None:
-            self._rng = self._warm_rng()
-        binned = self._binner.transform(X)
-        current = np.full(len(y), self.base_score_)
-        for tree, leaf_vals in zip(self._trees, self._leaf_values):
-            current += self.learning_rate * leaf_vals[tree.apply(binned)]
-        self._boost(n_rounds, binned, y, current)
-        return self
-
-    def _boost(self, n_rounds: int, binned, y, current) -> None:
-        rng = self._rng
-        ones = np.ones((len(y), 1))
-        params = self._tree_params()
-        alpha = self.quantile
-        obs_on = obs.enabled()
-        t_start = time.perf_counter()
-        for _ in range(n_rounds):
-            round_t0 = time.perf_counter() if obs_on else 0.0
-            residual = y - current
-            pseudo = np.where(residual >= 0.0, alpha, alpha - 1.0)[:, None]
-            if self.subsample < 1.0:
-                # Stochastic boosting: grow and leaf-refit on the in-bag
-                # rows only; the update still applies to every row.
-                rows = rng.random(len(y)) < self.subsample
-                tree = HistogramTree(params).fit(
-                    binned[rows], pseudo[rows], ones[rows], rng=rng,
-                    n_bins=self._binner.n_bins_,
-                )
-                fit_leaves = tree.apply(binned[rows])
-                fit_residual = residual[rows]
-                leaves = tree.apply(binned)
-            else:
-                tree = HistogramTree(params).fit(binned, pseudo, ones,
-                                                 rng=rng,
-                                                 n_bins=self._binner.n_bins_)
-                leaves = tree.apply(binned)
-                fit_leaves, fit_residual = leaves, residual
-            # Every tree leaf holds in-bag rows by construction, so the
-            # refit quantile is defined wherever out-of-bag rows land.
-            leaf_vals = np.zeros(len(tree.nodes))
-            for leaf in np.unique(fit_leaves):
-                leaf_vals[leaf] = np.quantile(
-                    fit_residual[fit_leaves == leaf], alpha
-                )
-            self._trees.append(tree)
-            self._leaf_values.append(leaf_vals)
-            current += self.learning_rate * leaf_vals[leaves]
-            if obs_on:
-                obs.inc("gbdt.rounds_total")
-                obs.observe("gbdt.round_s", time.perf_counter() - round_t0)
-                obs.set_gauge("gbdt.train_loss",
-                              _pinball_loss(y - current, alpha))
-        self.fit_telemetry_ = {
-            "model": "gbdt_quantile_regressor",
-            "fit_wall_s": time.perf_counter() - t_start,
-            "rounds_completed": len(self._trees),
-            "final_train_loss": _pinball_loss(y - current, alpha),
-        }
-
-    def predict(self, X) -> np.ndarray:
-        self._check_fitted()
-        binned = self._binner.transform(np.asarray(X, dtype=float))
-        out = np.full(len(binned), self.base_score_)
-        for tree, leaf_vals in zip(self._trees, self._leaf_values):
-            out += self.learning_rate * leaf_vals[tree.apply(binned)]
-        return out
 
 
 class GBDTClassifier(_GBDTBase):
@@ -461,90 +495,17 @@ class GBDTClassifier(_GBDTBase):
     argmax of the accumulated logits.
     """
 
-    def fit(self, X, y) -> "GBDTClassifier":
-        X = np.asarray(X, dtype=float)
-        if self.warm_start and self._binner is not None:
-            return self.fit_more(self.n_estimators, X, y)
-        self._rng = np.random.default_rng(self.random_state)
-        self.encoder_ = LabelEncoder()
-        codes = self.encoder_.fit_transform(y)
-        k = len(self.encoder_.classes_)
-        if k < 2:
+    _LOSS = _SoftmaxLoss
+
+    def _learn_targets(self, chunks) -> None:
+        # Classes are the sorted union of labels across the chunks --
+        # for one chunk, exactly what LabelEncoder.fit finds.
+        self.encoder_ = LabelEncoder().fit_stream(y for _, y in chunks())
+        if len(self.encoder_.classes_) < 2:
             raise ValueError("need at least two classes")
-        Y = one_hot(codes, k)
-        self.n_features_ = X.shape[1]
-        self._binner = FeatureBinner(self.max_bins)
-        binned = self._binner.fit_transform(X)
-        # Log-prior initial logits.
-        priors = np.clip(Y.mean(axis=0), 1e-9, 1.0)
-        self.base_logits_ = np.log(priors)
-        logits = np.tile(self.base_logits_, (len(X), 1))
-        self._trees = []
-        self._boost(self.n_estimators, binned, codes, logits)
-        return self
 
-    def fit_more(self, n_rounds: int, X, y) -> "GBDTClassifier":
-        """Warm start: append ``n_rounds`` trees on fresh labeled data.
-
-        The class set is frozen at the original fit; labels outside it
-        raise ``ValueError``.  Logits are replayed tree by tree so the
-        continuation is bit-identical to one longer ``fit`` on
-        identical data.
-        """
-        n_rounds = int(n_rounds)
-        X = np.asarray(X, dtype=float)
-        self._check_fit_more(n_rounds, X.shape[1])
-        codes = self.encoder_.transform(np.asarray(y))
-        if len(X) != len(codes):
-            raise ValueError("X/y length mismatch")
-        if self._rng is None:
-            self._rng = self._warm_rng()
-        binned = self._binner.transform(X)
-        logits = np.tile(self.base_logits_, (len(binned), 1))
-        for tree in self._trees:
-            logits += self.learning_rate * tree.predict_binned(binned)
-        self._boost(n_rounds, binned, codes, logits)
-        return self
-
-    def _boost(self, n_rounds: int, binned, codes, logits) -> None:
-        rng = self._rng
-        k = len(self.encoder_.classes_)
-        Y = one_hot(codes, k)
-        params = self._tree_params()
-        obs_on = obs.enabled()
-        t_start = time.perf_counter()
-
-        def _logloss() -> float:
-            p_now = softmax(logits)
-            picked = np.clip(p_now[np.arange(len(codes)), codes], 1e-12, 1.0)
-            return float(-np.mean(np.log(picked)))
-
-        for _ in range(n_rounds):
-            round_t0 = time.perf_counter() if obs_on else 0.0
-            p = softmax(logits)
-            grad = Y - p
-            hess = np.clip(p * (1.0 - p), 1e-6, None)
-            if self.subsample < 1.0:
-                rows = rng.random(len(binned)) < self.subsample
-                tree = HistogramTree(params).fit(
-                    binned[rows], grad[rows], hess[rows], rng=rng,
-                    n_bins=self._binner.n_bins_,
-                )
-            else:
-                tree = HistogramTree(params).fit(binned, grad, hess, rng=rng,
-                                                 n_bins=self._binner.n_bins_)
-            self._trees.append(tree)
-            logits += self.learning_rate * tree.predict_binned(binned)
-            if obs_on:
-                obs.inc("gbdt.rounds_total")
-                obs.observe("gbdt.round_s", time.perf_counter() - round_t0)
-                obs.set_gauge("gbdt.train_loss", _logloss())
-        self.fit_telemetry_ = {
-            "model": "gbdt_classifier",
-            "fit_wall_s": time.perf_counter() - t_start,
-            "rounds_completed": len(self._trees),
-            "final_train_loss": _logloss(),
-        }
+    def _targets(self, y) -> np.ndarray:
+        return self.encoder_.transform(np.asarray(y))
 
     def fit_binned_stream(self, chunks, binner: FeatureBinner
                           ) -> "GBDTClassifier":
@@ -556,144 +517,25 @@ class GBDTClassifier(_GBDTBase):
         recomputed every round.  Classes are the sorted union of labels
         seen across the stream -- identical to the in-memory encoder.
         """
-        if self.subsample < 1.0:
-            raise NotImplementedError(
-                "subsample < 1.0 requires the in-memory fit")
-        if binner.edges_ is None:
-            raise RuntimeError("binner is not fitted")
-        self._rng = np.random.default_rng(self.random_state)
-        lens, d = [], None
-        classes = None
-        for binned, y in chunks():
-            y = np.asarray(y)
-            lens.append(len(y))
-            d = np.asarray(binned).shape[1]
-            u = np.unique(y)
-            classes = u if classes is None else np.union1d(classes, u)
-        n = int(np.sum(lens))
-        if n == 0:
-            raise ValueError("empty chunk stream")
-        self.encoder_ = LabelEncoder()
-        self.encoder_.classes_ = classes
-        k = len(classes)
-        if k < 2:
-            raise ValueError("need at least two classes")
-        self.n_features_ = d
-        self._binner = binner
-        counts = np.zeros(k)
-        for _, y in chunks():
-            codes = self.encoder_.transform(np.asarray(y))
-            counts += np.bincount(codes, minlength=k)
-        priors = np.clip(counts / n, 1e-9, 1.0)
-        self.base_logits_ = np.log(priors)
-        logits = [np.tile(self.base_logits_, (m, 1)) for m in lens]
-        self._trees = []
-        self._boost_stream(self.n_estimators, chunks, logits, n)
-        return self
+        return self._drive(self.n_estimators, chunks, binner,
+                           out_of_core=True)
 
     def fit_more_binned_stream(self, n_rounds: int, chunks
                                ) -> "GBDTClassifier":
         """Warm-start the out-of-core path: append rounds from a stream.
 
         Frozen class set and binner; labels outside the known classes
-        raise ``ValueError``.  Same bit-identity contract as
+        raise ``ValueError`` before any tree is grown.  Same
+        bit-identity contract as
         :meth:`GBDTRegressor.fit_more_binned_stream`.
         """
-        n_rounds = int(n_rounds)
-        if self.subsample < 1.0:
-            raise NotImplementedError(
-                "subsample < 1.0 requires the in-memory fit")
-        lens, d = [], None
-        for binned, y in chunks():
-            # Transform eagerly so unseen labels fail before any tree
-            # is grown.
-            self.encoder_.transform(np.asarray(y))
-            lens.append(len(np.asarray(y)))
-            d = np.asarray(binned).shape[1]
-        self._check_fit_more(n_rounds, d)
-        n = int(np.sum(lens))
-        if n == 0:
-            raise ValueError("empty chunk stream")
-        logits = [np.tile(self.base_logits_, (m, 1)) for m in lens]
-        for tree in self._trees:
-            for i, (binned, _) in enumerate(chunks()):
-                logits[i] += self.learning_rate * tree.predict_binned(binned)
-        if self._rng is None:
-            self._rng = self._warm_rng()
-        self._boost_stream(n_rounds, chunks, logits, n)
-        return self
+        return self._drive(int(n_rounds), chunks, out_of_core=True)
 
-    def _boost_stream(self, n_rounds: int, chunks, logits, n: int) -> None:
-        rng = self._rng
-        k = len(self.encoder_.classes_)
-        params = self._tree_params()
-        obs_on = obs.enabled()
-        t_start = time.perf_counter()
-
-        def grad_chunks():
-            for i, (binned, y) in enumerate(chunks()):
-                codes = self.encoder_.transform(np.asarray(y))
-                Y = one_hot(codes, k)
-                p = softmax(logits[i])
-                yield binned, Y - p, np.clip(p * (1.0 - p), 1e-6, None)
-
-        def _logloss() -> float:
-            acc = 0.0
-            for i, (_, y) in enumerate(chunks()):
-                codes = self.encoder_.transform(np.asarray(y))
-                p_now = softmax(logits[i])
-                picked = np.clip(p_now[np.arange(len(codes)), codes],
-                                 1e-12, 1.0)
-                acc += float(np.sum(-np.log(picked)))
-            return acc / n
-
-        for _ in range(n_rounds):
-            round_t0 = time.perf_counter() if obs_on else 0.0
-            tree = HistogramTree(params).fit_binned_chunks(
-                grad_chunks, rng=rng, n_bins=self._binner.n_bins_)
-            self._trees.append(tree)
-            for i, (binned, _) in enumerate(chunks()):
-                logits[i] += self.learning_rate * tree.predict_binned(binned)
-            if obs_on:
-                obs.inc("gbdt.rounds_total")
-                obs.observe("gbdt.round_s", time.perf_counter() - round_t0)
-                obs.set_gauge("gbdt.train_loss", _logloss())
-        self.fit_telemetry_ = {
-            "model": "gbdt_classifier",
-            "fit_wall_s": time.perf_counter() - t_start,
-            "rounds_completed": len(self._trees),
-            "final_train_loss": _logloss(),
-            "out_of_core": True,
-            "n_train": n,
-        }
-
-    def _logits(self, X) -> np.ndarray:
-        self._check_fitted()
-        binned = self._binner.transform(np.asarray(X, dtype=float))
-        logits = np.tile(self.base_logits_, (len(binned), 1))
-        for tree in self._trees:
-            logits += self.learning_rate * tree.predict_binned(binned)
-        return logits
+    def _decode(self, score):
+        return self.encoder_.inverse_transform(np.argmax(score, axis=1))
 
     def predict_proba(self, X) -> np.ndarray:
-        return softmax(self._logits(X))
-
-    def predict(self, X) -> np.ndarray:
-        codes = np.argmax(self._logits(X), axis=1)
-        return self.encoder_.inverse_transform(codes)
-
-    def staged_errors(self, X, y, metric) -> list[float]:
-        """Metric on decoded labels after each boosting stage."""
-        self._check_fitted()
-        binned = self._binner.transform(np.asarray(X, dtype=float))
-        y = np.asarray(y)
-        logits = np.tile(self.base_logits_, (len(binned), 1))
-        out = []
-        for tree in self._trees:
-            logits += self.learning_rate * tree.predict_binned(binned)
-            pred = self.encoder_.inverse_transform(np.argmax(logits, axis=1))
-            out.append(metric(y, pred))
-        return out
+        return softmax(self._raw(X))
 
     @property
     def classes_(self) -> np.ndarray:

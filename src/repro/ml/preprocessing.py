@@ -143,6 +143,18 @@ class LabelEncoder:
         self.classes_ = np.unique(np.asarray(y))
         return self
 
+    def fit_stream(self, ys) -> "LabelEncoder":
+        """Fit from an iterable of label chunks: the sorted union of their
+        labels (one chunk finds exactly what :meth:`fit` does)."""
+        classes = None
+        for y in ys:
+            u = np.unique(np.asarray(y))
+            classes = u if classes is None else np.union1d(classes, u)
+        if classes is None:
+            raise ValueError("empty chunk stream")
+        self.classes_ = classes
+        return self
+
     def transform(self, y) -> np.ndarray:
         if self.classes_ is None:
             raise RuntimeError("encoder is not fitted")

@@ -173,6 +173,46 @@ class _Node:
         return self.feature < 0
 
 
+def _split_scores(hist: np.ndarray, G: np.ndarray, H: np.ndarray,
+                  n_node: int, lam: float, msl: int) -> np.ndarray:
+    """Scores for every (feature, bin) candidate of a node's histogram.
+
+    One cumulative-sum pass over the histogram planes, then the split
+    objective evaluated on the whole ``(n_features, B-1)`` grid at once;
+    invalid candidates (min_samples_leaf) are -inf.  On a direct-built
+    histogram every cell of the result is bit-identical to the
+    reference grower's per-feature scores.
+    """
+    B, k = hist.shape[1], (hist.shape[2] - 1) // 2
+    GL = np.cumsum(hist[:, :, :k], axis=1)[:, : B - 1, :]
+    HL = np.cumsum(hist[:, :, k:2 * k], axis=1)[:, : B - 1, :]
+    NL = np.cumsum(hist[:, :, 2 * k], axis=1)[:, : B - 1]
+    GR = G[None, None, :] - GL
+    HR = H[None, None, :] - HL
+    NR = n_node - NL
+    valid = (NL >= msl) & (NR >= msl)
+    score = ((GL * GL / (HL + lam)).sum(axis=2)
+             + (GR * GR / (HR + lam)).sum(axis=2))
+    score[~valid] = -np.inf
+    return score
+
+
+def _best_direct_split(score: np.ndarray, base: float):
+    """Winning (feature-position, bin, gain) on a direct-built
+    histogram's scores, or None: per-feature argmax, then the first
+    occurrence of the max gain (see :meth:`_TreeGrower._select`)."""
+    if score.size == 0:
+        return None
+    b_f = np.argmax(score, axis=1)  # first occurrence per feature
+    sc_f = score[np.arange(score.shape[0]), b_f]
+    gain_f = sc_f - base
+    f_pos = int(np.argmax(gain_f))  # first occurrence of max gain
+    gain = float(gain_f[f_pos])
+    if not np.isfinite(gain):
+        return None
+    return f_pos, int(b_f[f_pos]), gain
+
+
 class _TreeGrower:
     """Iterative frontier-based growth engine for :class:`HistogramTree`.
 
@@ -302,31 +342,6 @@ class _TreeGrower:
         obs.inc("tree.hist_built_total")
         return hist
 
-    # -- split search ------------------------------------------------------- #
-
-    def _scores(self, hist: np.ndarray, G: np.ndarray, H: np.ndarray,
-                n_node: int) -> np.ndarray:
-        """Scores for every (feature, bin) candidate in one sweep.
-
-        One cumulative-sum pass over the histogram planes, then the
-        split objective evaluated on the whole ``(n_features, B-1)``
-        grid at once; invalid candidates (min_samples_leaf) are -inf.
-        On a direct-built histogram every cell of the result is
-        bit-identical to the reference grower's per-feature scores.
-        """
-        k, B = self.k, self.B
-        GL = np.cumsum(hist[:, :, :k], axis=1)[:, : B - 1, :]
-        HL = np.cumsum(hist[:, :, k:2 * k], axis=1)[:, : B - 1, :]
-        NL = np.cumsum(hist[:, :, 2 * k], axis=1)[:, : B - 1]
-        GR = G[None, None, :] - GL
-        HR = H[None, None, :] - HL
-        NR = n_node - NL
-        valid = (NL >= self.msl) & (NR >= self.msl)
-        score = ((GL * GL / (HL + self.lam)).sum(axis=2)
-                 + (GR * GR / (HR + self.lam)).sum(axis=2))
-        score[~valid] = -np.inf
-        return score
-
     # -- exact single-feature score (reference arithmetic) ------------------ #
 
     def _exact_scores_1f(self, s: int, e: int, f: int,
@@ -338,26 +353,14 @@ class _TreeGrower:
         k = self.k
         codes = self.C[s:e, f]
         nb = int(codes.max()) + 1
-        if nb < 2:
-            return np.full(max(nb - 1, 0), -np.inf)
-        hist_g = np.empty((nb, k))
-        hist_h = np.empty((nb, k))
-        hist_n = np.bincount(codes, minlength=nb)
+        hist = np.empty((1, nb, 2 * k + 1))
+        hist[0, :, 2 * k] = np.bincount(codes, minlength=nb)
         for j in range(k):
-            hist_g[:, j] = np.bincount(codes, weights=self.G[s:e, j],
-                                       minlength=nb)
-            hist_h[:, j] = np.bincount(codes, weights=self.H[s:e, j],
-                                       minlength=nb)
-        GL = np.cumsum(hist_g, axis=0)[:-1]
-        HL = np.cumsum(hist_h, axis=0)[:-1]
-        NL = np.cumsum(hist_n)[:-1]
-        GR = G - GL
-        HR = H - HL
-        NR = (e - s) - NL
-        score = (np.sum(GL * GL / (HL + self.lam), axis=1)
-                 + np.sum(GR * GR / (HR + self.lam), axis=1))
-        score[~((NL >= self.msl) & (NR >= self.msl))] = -np.inf
-        return score
+            hist[0, :, j] = np.bincount(codes, weights=self.G[s:e, j],
+                                        minlength=nb)
+            hist[0, :, k + j] = np.bincount(codes, weights=self.H[s:e, j],
+                                            minlength=nb)
+        return _split_scores(hist, G, H, e - s, self.lam, self.msl)[0]
 
     def _select(self, score: np.ndarray, derived: bool, s: int, e: int,
                 features, G: np.ndarray, H: np.ndarray, base: float):
@@ -367,22 +370,15 @@ class _TreeGrower:
         compares *features* on ``gain = score[bin] - base`` with strict
         ``>`` -- and two scores one ulp apart can round to the same
         gain, so tie-breaking must happen in gain space, not score
-        space.  Direct histograms: per-feature argmax + vectorized gain,
-        first occurrence of the max gain.  Derived histograms: exact
-        re-scoring of every feature in the near-tie band (see class
-        docstring), same first-wins scan over exact gains.
+        space.  Direct histograms: :func:`_best_direct_split`.  Derived
+        histograms: exact re-scoring of every feature in the near-tie
+        band (see class docstring), same first-wins scan over exact
+        gains.
         """
+        if not derived:
+            return _best_direct_split(score, base)
         if score.size == 0:
             return None
-        if not derived:
-            b_f = np.argmax(score, axis=1)  # first occurrence per feature
-            sc_f = score[np.arange(score.shape[0]), b_f]
-            gain_f = sc_f - base
-            f_pos = int(np.argmax(gain_f))  # first occurrence of max gain
-            gain = float(gain_f[f_pos])
-            if not np.isfinite(gain):
-                return None
-            return f_pos, int(b_f[f_pos]), gain
         smax = float(score.max())
         if not np.isfinite(smax):
             return None
@@ -460,7 +456,7 @@ class _TreeGrower:
                 hist = self._build_hist(s, e, features)
                 derived = False
             base = float(np.sum(G * G / (H + self.lam)))
-            score = self._scores(hist, G, H, m)
+            score = _split_scores(hist, G, H, m, self.lam, self.msl)
             sel = self._select(score, derived, s, e, features, G, H, base)
             if sel is None:
                 continue
@@ -554,17 +550,22 @@ class _StreamingTreeGrower:
     ``CELL_BUDGET`` histogram cells are swept in batches (extra passes,
     same bounded memory).
 
-    Split search per node reuses the engine's direct-histogram math
-    (cumsum scores, min_samples_leaf validity, per-feature argmax, gain
-    compared in gain space with first-wins ties).  Differences from the
-    in-memory engine, by design:
+    Every histogram here is built directly from rows, so split search
+    is the engine's direct-histogram path itself: :func:`_split_scores`
+    then :func:`_best_direct_split`.
+
+    Every tree the repo grows from more than one chunk comes through
+    here: the boosting driver behind all GBDT entry points
+    (``repro.ml.gbdt``) and the forests' ``fit_binned_stream`` hand
+    their streams to :meth:`HistogramTree.fit_binned_chunks`, which
+    routes a single-chunk stream -- in-memory data included -- to the
+    exact engine and anything longer to this class.  Two gaps to the
+    engine remain open:
 
     * node G/H/count come from the histogram planes (feature 0's bins)
       and histograms accumulate chunk-partially, so values match the
       engine to summation-order (ulp-level) noise -- the seeded
-      equivalence tests bound it.  Single-chunk streams never reach this
-      class: :meth:`HistogramTree.fit_binned_chunks` routes them to the
-      exact engine.
+      equivalence tests bound it.
     * with ``max_features`` set, feature subsets draw per node in level
       order (root, then children left to right), not the engine's
       pre-order -- deterministic for a seed, but a different tree.
@@ -670,36 +671,6 @@ class _StreamingTreeGrower:
         obs.inc("tree.stream_sweeps_total")
         return hist
 
-    # -- per-node split search (direct-histogram math) ----------------------- #
-
-    def _node_split(self, h: np.ndarray, G: np.ndarray, H: np.ndarray,
-                    m: int, features):
-        """Winning (feature, bin, gain) for one node, or None."""
-        k, B = self.k, self.B
-        hf = h if features is None else h[features]
-        GL = np.cumsum(hf[:, :, :k], axis=1)[:, : B - 1, :]
-        HL = np.cumsum(hf[:, :, k:2 * k], axis=1)[:, : B - 1, :]
-        NL = np.cumsum(hf[:, :, 2 * k], axis=1)[:, : B - 1]
-        GR = G[None, None, :] - GL
-        HR = H[None, None, :] - HL
-        NR = m - NL
-        valid = (NL >= self.msl) & (NR >= self.msl)
-        score = ((GL * GL / (HL + self.lam)).sum(axis=2)
-                 + (GR * GR / (HR + self.lam)).sum(axis=2))
-        score[~valid] = -np.inf
-        if score.size == 0:
-            return None
-        base = float(np.sum(G * G / (H + self.lam)))
-        b_f = np.argmax(score, axis=1)
-        sc_f = score[np.arange(score.shape[0]), b_f]
-        gain_f = sc_f - base
-        f_pos = int(np.argmax(gain_f))
-        gain = float(gain_f[f_pos])
-        if not np.isfinite(gain):
-            return None
-        f = f_pos if features is None else int(features[f_pos])
-        return f, int(b_f[f_pos]), gain
-
     # -- main loop ----------------------------------------------------------- #
 
     def run(self) -> None:
@@ -730,10 +701,14 @@ class _StreamingTreeGrower:
                     features = (None if self.full
                                 else self.rng.choice(self.d, size=self.k_feat,
                                                      replace=False))
-                    sel = self._node_split(h, G, H, m, features)
+                    hf = h if features is None else h[features]
+                    sel = _best_direct_split(
+                        _split_scores(hf, G, H, m, self.lam, self.msl),
+                        float(np.sum(G * G / (H + self.lam))))
                     if sel is None:
                         continue
-                    f, b, gain = sel
+                    f_pos, b, gain = sel
+                    f = f_pos if features is None else int(features[f_pos])
                     if gain <= 0.0 or gain <= p.min_gain:
                         continue
                     node.feature = f
@@ -867,18 +842,13 @@ class HistogramTree:
         single = next(it, None) is None
         del it
         binned0, grad0, hess0 = first
+        if hess0 is None:
+            hess0 = np.ones_like(np.atleast_2d(
+                np.asarray(grad0, dtype=float).T).T)
         if single:
-            if hess0 is None:
-                hess0 = np.ones_like(np.atleast_2d(
-                    np.asarray(grad0, dtype=float).T).T)
             return self.fit(binned0, grad0, hess0, rng=rng, n_bins=n_bins)
-        grad0 = np.atleast_2d(np.asarray(grad0, dtype=float).T).T
-        d = np.asarray(binned0).shape[1]
-        del first, binned0, hess0
-        self.n_outputs = grad0.shape[1]
-        self.feature_gain_ = np.zeros(d)
-        self.nodes = []
-        self._flat = None
+        d = self._prepare_fit(binned0, grad0, hess0)[0].shape[1]
+        del first, binned0, grad0, hess0
         _StreamingTreeGrower(self, chunks, d, rng, n_bins=n_bins).run()
         return self
 
@@ -1074,6 +1044,23 @@ class HistogramTree:
                 return 0
             return 1 + max(walk(node.left), walk(node.right))
         return walk(0) if self.nodes else 0
+
+
+def _one_chunk(binned: np.ndarray, y: np.ndarray):
+    """In-memory ``(binned, y)`` as the one-chunk stream the stream fits read."""
+    if len(binned) != len(y):
+        raise ValueError("X/y length mismatch")
+    return lambda: iter([(binned, y)])
+
+
+def _feature_importances(trees: list[HistogramTree],
+                         n_features: int) -> np.ndarray:
+    """Split-gain importance of an ensemble, normalized to sum to 1."""
+    total = np.zeros(n_features)
+    for tree in trees:
+        total += tree.feature_gain_
+    s = total.sum()
+    return total / s if s > 0 else total
 
 
 class DecisionTreeRegressor:

@@ -1,10 +1,13 @@
 """Tests for quantile gradient boosting."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro import obs
-from repro.ml.gbdt import GBDTQuantileRegressor
+from repro.ml.gbdt import GBDTClassifier, GBDTQuantileRegressor, GBDTRegressor
+from repro.ml.tree import FeatureBinner
 
 
 def heteroscedastic_data(n=3000, seed=0):
@@ -71,7 +74,7 @@ class TestQuantileGBDT:
 class TestSubsampleAndObs:
     """``subsample`` used to be validated but silently ignored by the
     quantile fit loop; these pin the stochastic-boosting behaviour and
-    the per-round obs instrumentation the other fit loops already had."""
+    the per-round obs instrumentation every GBDT family shares."""
 
     def test_subsample_changes_the_model(self):
         X, y = heteroscedastic_data(seed=4)
@@ -97,14 +100,48 @@ class TestSubsampleAndObs:
         coverage = float(np.mean(y[2000:] <= model.predict(X[2000:])))
         assert coverage == pytest.approx(0.9, abs=0.08)
 
-    def test_per_round_obs_instrumentation(self):
+    @pytest.mark.parametrize("family,entry", [
+        (family, entry)
+        for family in ("regressor", "quantile", "classifier")
+        for entry in ("fit", "fit_more", "fit_binned_stream-1",
+                      "fit_binned_stream-3", "fit_more_binned_stream")
+        if family != "quantile" or entry in ("fit", "fit_more")
+    ])
+    def test_per_round_obs_instrumentation(self, family, entry):
+        """Every entry point of every family records each of its ``n``
+        rounds exactly once: the boosting driver has one round site."""
         obs.set_enabled(True)
         reg = obs.get_registry()
+        X, y = heteroscedastic_data(n=500, seed=7)
+        if family == "classifier":
+            y = np.where(y > np.median(y), "high", "low")
+        make = {"regressor": GBDTRegressor,
+                "quantile": partial(GBDTQuantileRegressor, quantile=0.5),
+                "classifier": GBDTClassifier}[family]
+        binner = FeatureBinner(256).fit(X)
+        n_chunks = 1 if entry.endswith("-1") else 3
+        parts = list(zip(np.array_split(binner.transform(X), n_chunks),
+                         np.array_split(y, n_chunks)))
+
+        def chunks():
+            return iter(parts)
+
+        if entry == "fit_more":
+            model = make(n_estimators=2, random_state=0).fit(X, y)
+        elif entry == "fit_more_binned_stream":
+            model = make(n_estimators=2, random_state=0).fit_binned_stream(
+                chunks, binner)
         rounds_before = reg.counter("gbdt.rounds_total").value
         timings_before = reg.histogram("gbdt.round_s").count
-        X, y = heteroscedastic_data(n=500, seed=7)
-        GBDTQuantileRegressor(quantile=0.5, n_estimators=7,
-                              random_state=0).fit(X, y)
+        if entry == "fit":
+            make(n_estimators=7, random_state=0).fit(X, y)
+        elif entry == "fit_more":
+            model.fit_more(7, X, y)
+        elif entry == "fit_more_binned_stream":
+            model.fit_more_binned_stream(7, chunks)
+        else:
+            make(n_estimators=7, random_state=0).fit_binned_stream(
+                chunks, binner)
         assert reg.counter("gbdt.rounds_total").value - rounds_before == 7
         assert reg.histogram("gbdt.round_s").count - timings_before == 7
         loss = reg.gauge("gbdt.train_loss").value
