@@ -11,9 +11,14 @@ bounded-memory pipeline (docs/colstore.md):
    chunk boundaries mirror the cleaned store,
 4. :meth:`repro.ml.tree.FeatureBinner.fit_stream` -- quantile-sketch
    bin edges from one pass over the feature chunks,
-5. ``fit_binned_stream`` on the GBDT / random-forest families, which
-   consume re-iterable ``(binned, y)`` chunk pairs and keep only O(rows)
-   driver state.
+5. :func:`binned_label_chunks` -- bins every feature chunk *once* into
+   a codes store under ``work_dir/codes``: one ``(rows, d)`` uint8
+   ``.npy`` per chunk (n*d bytes of disk, 1/8 of the float64 feature
+   store), keyed by feature-store digest x bin edges,
+6. ``fit_binned_stream`` on the GBDT / random-forest families, which
+   re-read that ``(codes, y)`` stream once per pass -- one memory-mapped
+   uint8 shard plus the label column per chunk, never the float
+   features -- and keep only O(rows) driver state.
 
 Every intermediate store is content-addressed, so re-running
 :func:`train_from_store` over the same inputs reuses the cleaned and
@@ -26,11 +31,15 @@ to the in-memory path (``tests/colstore/test_colstore_pipeline.py``).
 from __future__ import annotations
 
 import os
+import pathlib
 
 import numpy as np
 
 from repro import obs
+from repro.colstore.manifest import Manifest
 from repro.colstore.reader import ChunkReader
+from repro.colstore.writer import ShardWriter
+from repro.par.cache import fingerprint
 
 __all__ = [
     "STREAM_MODELS",
@@ -67,15 +76,64 @@ def bin_store(feat_reader: ChunkReader, max_bins: int = 256,
     return binner.fit_stream(feature_matrix_chunks(feat_reader))
 
 
+#: The one column of a codes store: a ``(rows, d)`` uint8 matrix per chunk.
+_CODES = "codes"
+
+
+def _bin_once(feat_reader: ChunkReader, binner, out_dir) -> list[str]:
+    """Bin every feature chunk once into a codes store; its shard paths.
+
+    The store has one ``(rows, d)`` uint8 column per chunk, written by
+    :class:`ShardWriter` at the feature store's chunk boundaries, and
+    its manifest's ``cache_key`` fingerprints (feature-store digest x
+    bin edges) -- so a re-run over the same features and edges reuses
+    the codes, and a different binner (a refit's frozen one) rewrites
+    them.  Costs n*d bytes of disk.  The paths are ``str`` for cheap
+    ``np.load`` calls.
+    """
+    if binner.edges_ is None:
+        raise RuntimeError("binner is not fitted")
+    root = pathlib.Path(out_dir)
+    key = fingerprint({
+        "colstore_codes": 1,
+        "features": feat_reader.manifest.digest(),
+        "edges": binner.edges_,
+    })
+    manifest = None
+    if Manifest.exists(root):
+        try:
+            manifest = Manifest.load(root)
+        except ValueError:
+            manifest = None  # corrupt/mismatched: rewrite below
+    if manifest is None or manifest.meta.get("cache_key") != key:
+        writer = ShardWriter(
+            root, chunk_rows=max(feat_reader.manifest.chunk_rows, 1),
+            meta={"kind": "colstore_codes", "cache_key": key})
+        with obs.span("colstore.bin_codes", rows=len(feat_reader)):
+            for X in feature_matrix_chunks(feat_reader):
+                writer.append({_CODES: binner.transform(X)})
+            manifest = writer.finalize()
+    f_rows = [c.rows for c in feat_reader.manifest.chunks]
+    c_rows = [c.rows for c in manifest.chunks]
+    if c_rows != f_rows:
+        raise ValueError(f"codes chunks {c_rows} do not match feature "
+                         f"chunks {f_rows}")
+    return [str(root / c.files[_CODES]) for c in manifest.chunks]
+
+
 def binned_label_chunks(feat_reader: ChunkReader, label_reader: ChunkReader,
-                        binner, label_of=None):
+                        binner, work_dir, label_of=None):
     """A re-iterable ``(binned, y)`` stream for ``fit_binned_stream``.
 
     ``feat_reader`` and ``label_reader`` must be chunk-aligned --
     :meth:`materialize_store` guarantees that by mirroring its input's
-    boundaries, and the manifests are checked here.  ``label_of`` maps
-    the raw label column to training targets (identity by default; the
-    classification path turns throughput into class names).
+    boundaries, and the manifests are checked here.  The features are
+    binned once, here, into a codes store under ``work_dir/codes``
+    (:func:`_bin_once`); every pass then maps one uint8 shard per chunk
+    plus the label column, never the float features.  ``label_of``
+    maps the raw label column to training targets (identity by
+    default; the classification path turns throughput into class
+    names).
     """
     f_rows = [c.rows for c in feat_reader.manifest.chunks]
     l_rows = [c.rows for c in label_reader.manifest.chunks]
@@ -84,12 +142,15 @@ def binned_label_chunks(feat_reader: ChunkReader, label_reader: ChunkReader,
             f"feature/label stores are not chunk-aligned: {f_rows} vs "
             f"{l_rows}"
         )
+    paths = _bin_once(feat_reader, binner,
+                      os.path.join(str(work_dir), "codes"))
 
     def chunks():
         labels = label_reader.iter_chunks([LABEL_COLUMN])
-        for X in feature_matrix_chunks(feat_reader):
+        for path in paths:
             y = np.asarray(next(labels)[LABEL_COLUMN], dtype=float)
-            yield binner.transform(X), (label_of(y) if label_of else y)
+            yield (np.load(path, mmap_mode="r"),
+                   label_of(y) if label_of else y)
 
     return chunks
 
@@ -241,7 +302,7 @@ def train_from_store(
             from repro.core.labels import DEFAULT_CLASSES
 
             label_of = DEFAULT_CLASSES.classify
-        chunks = binned_label_chunks(feats, cleaned, binner,
+        chunks = binned_label_chunks(feats, cleaned, binner, work_dir,
                                      label_of=label_of)
         estimator = _make_stream_model(model, task, config, seed)
         estimator.fit_binned_stream(chunks, binner)
@@ -321,7 +382,7 @@ def refit_from_store(
 
             label_of = DEFAULT_CLASSES.classify
         chunks = binned_label_chunks(feats, cleaned, estimator._binner,
-                                     label_of=label_of)
+                                     work_dir, label_of=label_of)
         estimator.fit_more_binned_stream(n_rounds, chunks)
         baseline = streamed_prediction_baseline(estimator, feats)
         estimator.drift_baseline_ = baseline.to_dict()

@@ -69,8 +69,10 @@ class ChunkReader:
     def _load_shard(self, chunk: ChunkMeta, name: str) -> np.ndarray:
         path = self.root / chunk.files[name]
         # mmap keeps RSS bounded by the pages actually touched; the
-        # mapping dies with the returned array's last reference.
-        return np.load(path, mmap_mode="r")
+        # mapping dies with the returned array's last reference.  A str
+        # path: for a Path, np.memmap resolves it (one lstat per path
+        # component) on every load.
+        return np.load(str(path), mmap_mode="r")
 
     def read_chunk(self, index: int,
                    columns: Sequence[str] | None = None) -> Table:

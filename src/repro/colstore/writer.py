@@ -19,7 +19,9 @@ The writer owns three invariants:
 
 Object-dtype columns (Python strings) are converted to fixed-width
 ``<U`` arrays on write so every shard is a plain, memory-mappable
-buffer.
+buffer.  A column may be N-D with rows along its first axis (the
+pipeline's ``(rows, d)`` uint8 codes store); :class:`ChunkReader`
+Tables only hold 1-D columns, so such shards are mapped by path.
 """
 
 from __future__ import annotations
@@ -52,8 +54,9 @@ DEFAULT_CHUNK_ROWS = 262_144
 
 def _normalize_column(name: str, arr) -> np.ndarray:
     arr = np.asarray(arr)
-    if arr.ndim != 1:
-        raise ValueError(f"column {name!r} must be 1-D, got shape {arr.shape}")
+    if arr.ndim < 1:
+        raise ValueError(f"column {name!r} must be >= 1-D, got shape "
+                         f"{arr.shape}")
     if arr.dtype == object:
         # Fixed-width unicode is mmappable; object buffers are pointers.
         arr = arr.astype(str)

@@ -135,7 +135,7 @@ class _PinballLoss(_SquaredError):
         leaves, residual = np.concatenate(leaves), np.concatenate(residual)
         # Every tree leaf holds in-bag rows by construction, so the
         # refit quantile is defined wherever out-of-bag rows land.
-        leaf_vals = np.zeros(len(tree.nodes))
+        leaf_vals = np.zeros(len(tree.feature))
         for leaf in np.unique(leaves):
             leaf_vals[leaf] = np.quantile(residual[leaves == leaf],
                                           self.model.quantile)

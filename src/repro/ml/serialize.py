@@ -38,20 +38,14 @@ FORMAT_VERSION = 1
 
 
 def _tree_to_dict(tree: HistogramTree) -> dict:
+    columns = zip(tree.feature.tolist(), tree.threshold_bin.tolist(),
+                  tree.left.tolist(), tree.right.tolist(),
+                  tree.value.tolist(), tree.n_samples.tolist())
     return {
         "n_outputs": tree.n_outputs,
         "feature_gain": tree.feature_gain_.tolist(),
-        "nodes": [
-            {
-                "f": n.feature,
-                "t": n.threshold_bin,
-                "l": n.left,
-                "r": n.right,
-                "v": np.asarray(n.value).tolist(),
-                "n": n.n_samples,
-            }
-            for n in tree.nodes
-        ],
+        "nodes": [{"f": f, "t": t, "l": l, "r": r, "v": v, "n": n}
+                  for f, t, l, r, v, n in columns],
     }
 
 
@@ -59,7 +53,7 @@ def _tree_from_dict(data: dict, params: TreeParams) -> HistogramTree:
     tree = HistogramTree(params)
     tree.n_outputs = int(data["n_outputs"])
     tree.feature_gain_ = np.asarray(data["feature_gain"], dtype=float)
-    tree.nodes = [
+    tree._set_nodes([
         _Node(
             feature=int(n["f"]),
             threshold_bin=int(n["t"]),
@@ -69,7 +63,7 @@ def _tree_from_dict(data: dict, params: TreeParams) -> HistogramTree:
             n_samples=int(n["n"]),
         )
         for n in data["nodes"]
-    ]
+    ])
     return tree
 
 

@@ -424,7 +424,7 @@ class _TreeGrower:
 
     def run(self) -> None:
         tree, p = self.tree, self.tree.params
-        nodes = tree.nodes
+        nodes: list[_Node] = []
         obs_on = obs.enabled()
         # Frontier entries:
         # (start, end, depth, hist, derived, parent_id, is_right).
@@ -502,6 +502,7 @@ class _TreeGrower:
             stack.append((s, s + nl, cdepth, lhist, lder, nid, False))
             if obs_on:
                 obs.observe("tree.node_grow_s", time.perf_counter() - t0)
+        tree._set_nodes(nodes)
 
 
 def _preorder_renumber(nodes: list[_Node]) -> list[_Node]:
@@ -597,6 +598,8 @@ class _StreamingTreeGrower:
         self._offsets = np.arange(d, dtype=np.intp) * self.B
         #: Per-chunk int32 node-id per row (~4 bytes/row of driver state).
         self.slots: list[np.ndarray] = []
+        #: Growth scratch, in level order until :meth:`run` finishes.
+        self.nodes: list[_Node] = []
 
     # -- one stream pass ----------------------------------------------------- #
 
@@ -609,7 +612,7 @@ class _StreamingTreeGrower:
         :meth:`_TreeGrower._build_hist`, accumulated in chunk order.
         """
         k, B, d = self.k, self.B, self.d
-        nodes = self.tree.nodes
+        nodes = self.nodes
         feat = np.asarray([n.feature for n in nodes], dtype=np.int64)
         thr = np.asarray([n.threshold_bin for n in nodes], dtype=np.int64)
         left = np.asarray([n.left for n in nodes], dtype=np.int64)
@@ -675,7 +678,7 @@ class _StreamingTreeGrower:
 
     def run(self) -> None:
         tree, p = self.tree, self.tree.params
-        nodes = tree.nodes
+        nodes = self.nodes
         k = self.k
         nodes.append(_Node())
         frontier: list[int] = [0]
@@ -721,11 +724,12 @@ class _StreamingTreeGrower:
                     depths[node.left] = depths[node.right] = depth + 1
                     new_frontier.extend((node.left, node.right))
             frontier = new_frontier
-        tree.nodes = _preorder_renumber(nodes)
+        nodes = _preorder_renumber(nodes)
         tree.feature_gain_ = np.zeros(self.d)
-        for node in tree.nodes:
+        for node in nodes:
             if not node.is_leaf:
                 tree.feature_gain_[node.feature] += node.gain
+        tree._set_nodes(nodes)
 
 
 class HistogramTree:
@@ -739,21 +743,43 @@ class HistogramTree:
     bench_gbdt_fit.py``) compare against, exactly as
     :meth:`predict_binned_slow` anchors the vectorized traversal.
 
-    Prediction uses a vectorized level-order descent over flattened node
-    arrays (see :meth:`predict_binned`); the original per-row/per-node
-    loop survives as :meth:`predict_binned_slow` because it is the
-    reference implementation the equivalence property tests (and the
-    serving benchmark baseline) compare against.
+    A grown tree is a set of flat node arrays indexed by node id (root
+    0, pre-order): ``feature`` (-1 at leaves), ``threshold_bin``,
+    ``left``, ``right``, ``n_samples``, ``gain`` and ``value`` of shape
+    ``(n_nodes, k)``.  The growers build :class:`_Node` objects as
+    scratch and freeze them into these arrays once, when growth (or
+    deserialization) finishes, so a trained ensemble holds a handful of
+    arrays per tree rather than one Python object per node.
+
+    Prediction uses a vectorized level-order descent over those arrays
+    (see :meth:`predict_binned`); the original per-row/per-node loop
+    survives as :meth:`predict_binned_slow` because it is the reference
+    implementation the equivalence property tests (and the serving
+    benchmark baseline) compare against.
     """
 
     def __init__(self, params: TreeParams):
         self.params = params
-        self.nodes: list[_Node] = []
         self.n_outputs = 1
         #: Total split gain attributed to each feature (importance raw score).
         self.feature_gain_: np.ndarray | None = None
-        #: Flattened node arrays for vectorized descent (built lazily).
-        self._flat: tuple[np.ndarray, ...] | None = None
+        self._set_nodes([])
+
+    def _set_nodes(self, nodes: list[_Node]) -> None:
+        """Freeze grown (or decoded) scratch nodes into the node arrays."""
+        def ints(name):
+            return np.array([getattr(nd, name) for nd in nodes],
+                            dtype=np.int64)
+
+        self.feature = ints("feature")
+        self.threshold_bin = ints("threshold_bin")
+        self.left = ints("left")
+        self.right = ints("right")
+        self.n_samples = ints("n_samples")
+        self.gain = np.array([nd.gain for nd in nodes], dtype=float)
+        self.value = (np.concatenate([nd.value for nd in nodes], dtype=float)
+                      .reshape(len(nodes), -1)
+                      if nodes else np.zeros((0, self.n_outputs)))
 
     # -- growing ------------------------------------------------------------ #
 
@@ -765,8 +791,6 @@ class HistogramTree:
             raise ValueError("grad/hess/binned shape mismatch")
         self.n_outputs = grad.shape[1]
         self.feature_gain_ = np.zeros(binned.shape[1])
-        self.nodes = []
-        self._flat = None
         return binned, grad, hess
 
     def fit(
@@ -809,7 +833,10 @@ class HistogramTree:
         binned, grad, hess = self._prepare_fit(binned, grad, hess)
         rng = rng or np.random.default_rng()
         idx_all = np.arange(len(binned))
-        self._grow_reference(binned, grad, hess, idx_all, depth=0, rng=rng)
+        nodes: list[_Node] = []
+        self._grow_reference(nodes, binned, grad, hess, idx_all, depth=0,
+                             rng=rng)
+        self._set_nodes(nodes)
         return self
 
     def fit_binned_chunks(
@@ -863,12 +890,13 @@ class HistogramTree:
     def _leaf_value(self, G: np.ndarray, H: np.ndarray) -> np.ndarray:
         return G / (H + max(self.params.reg_lambda, 1e-12))
 
-    def _grow_reference(self, binned, grad, hess, idx, depth, rng) -> int:
-        node_id = len(self.nodes)
+    def _grow_reference(self, nodes, binned, grad, hess, idx, depth,
+                        rng) -> int:
+        node_id = len(nodes)
         G = grad[idx].sum(axis=0)
         H = hess[idx].sum(axis=0)
         node = _Node(value=self._leaf_value(G, H), n_samples=len(idx))
-        self.nodes.append(node)
+        nodes.append(node)
 
         p = self.params
         if depth >= p.max_depth or len(idx) < 2 * p.min_samples_leaf:
@@ -925,35 +953,18 @@ class HistogramTree:
         node.threshold_bin = best_bin
         node.gain = best_gain
         self.feature_gain_[best_feature] += best_gain
-        node.left = self._grow_reference(binned, grad, hess, left_idx,
-                                         depth + 1, rng)
-        node.right = self._grow_reference(binned, grad, hess, right_idx,
-                                          depth + 1, rng)
+        node.left = self._grow_reference(nodes, binned, grad, hess,
+                                         left_idx, depth + 1, rng)
+        node.right = self._grow_reference(nodes, binned, grad, hess,
+                                          right_idx, depth + 1, rng)
         return node_id
 
     # -- prediction ---------------------------------------------------------- #
 
-    def _ensure_flat(self) -> tuple[np.ndarray, ...]:
-        """Flattened (feature, threshold, left, right, values) node arrays.
-
-        Built once per grown/deserialized tree; every structure change
-        goes through ``fit`` (which resets the cache), so staleness is
-        impossible in normal use.
-        """
-        if self._flat is None or len(self._flat[0]) != len(self.nodes):
-            nodes = self.nodes
-            self._flat = (
-                np.asarray([n.feature for n in nodes], dtype=np.int64),
-                np.asarray([n.threshold_bin for n in nodes], dtype=np.int64),
-                np.asarray([n.left for n in nodes], dtype=np.int64),
-                np.asarray([n.right for n in nodes], dtype=np.int64),
-                np.stack([np.asarray(n.value, dtype=float) for n in nodes]),
-            )
-        return self._flat
-
     def _descend(self, binned: np.ndarray) -> np.ndarray:
         """Vectorized level-order descent: the leaf node-id per row."""
-        feature, threshold, left, right, _ = self._ensure_flat()
+        feature, threshold = self.feature, self.threshold_bin
+        left, right = self.left, self.right
         n = len(binned)
         node_ids = np.zeros(n, dtype=np.int64)
         # Rows still sitting at an internal node, advanced one level per
@@ -972,11 +983,10 @@ class HistogramTree:
         """Leaf values for pre-binned samples; shape (n, k).
 
         Vectorized over the whole batch: rows descend level-by-level
-        through flattened node arrays (``np.take`` gathers), so cost is
+        through the node arrays (``np.take`` gathers), so cost is
         O(depth) numpy passes instead of a Python loop per node group.
         """
-        values = self._ensure_flat()[4]
-        return np.take(values, self._descend(binned), axis=0)
+        return np.take(self.value, self._descend(binned), axis=0)
 
     def apply(self, binned: np.ndarray) -> np.ndarray:
         """Leaf node-id each pre-binned sample lands in."""
@@ -1000,14 +1010,14 @@ class HistogramTree:
             # Group by current node to test leafness vectorized-ish.
             still = []
             for u in np.unique(nid):
-                node = self.nodes[u]
                 members = active[nid == u]
-                if node.is_leaf:
-                    out[members] = node.value
+                f = int(self.feature[u])
+                if f < 0:
+                    out[members] = self.value[u]
                 else:
-                    goes_left = binned[members, node.feature] <= node.threshold_bin
-                    node_ids[members[goes_left]] = node.left
-                    node_ids[members[~goes_left]] = node.right
+                    goes_left = binned[members, f] <= self.threshold_bin[u]
+                    node_ids[members[goes_left]] = self.left[u]
+                    node_ids[members[~goes_left]] = self.right[u]
                     still.append(members)
             active = np.concatenate(still) if still else np.empty(0, dtype=int)
         return out
@@ -1021,29 +1031,28 @@ class HistogramTree:
             nid = node_ids[active]
             still = []
             for u in np.unique(nid):
-                node = self.nodes[u]
                 members = active[nid == u]
-                if node.is_leaf:
+                f = int(self.feature[u])
+                if f < 0:
                     continue
-                goes_left = binned[members, node.feature] <= node.threshold_bin
-                node_ids[members[goes_left]] = node.left
-                node_ids[members[~goes_left]] = node.right
+                goes_left = binned[members, f] <= self.threshold_bin[u]
+                node_ids[members[goes_left]] = self.left[u]
+                node_ids[members[~goes_left]] = self.right[u]
                 still.append(members)
             active = np.concatenate(still) if still else np.empty(0, dtype=int)
         return node_ids
 
     @property
     def n_leaves(self) -> int:
-        return sum(1 for n in self.nodes if n.is_leaf)
+        return int(np.count_nonzero(self.feature < 0))
 
     @property
     def depth(self) -> int:
         def walk(i: int) -> int:
-            node = self.nodes[i]
-            if node.is_leaf:
+            if self.feature[i] < 0:
                 return 0
-            return 1 + max(walk(node.left), walk(node.right))
-        return walk(0) if self.nodes else 0
+            return 1 + max(walk(self.left[i]), walk(self.right[i]))
+        return walk(0) if len(self.feature) else 0
 
 
 def _one_chunk(binned: np.ndarray, y: np.ndarray):

@@ -45,6 +45,7 @@ from repro.datasets.cleaning import clean
 from repro.env.areas import build_area
 from repro.fstore.views import combination_view
 from repro.gateway import AsyncGateway, GatewayConfig
+from repro.obs.telemetry import ManualClock, TelemetryPlane, baseline_of
 from repro.resil import CheckpointStore
 from repro.rollout.controller import RolloutController
 from repro.rollout.guard import GuardConfig
@@ -173,10 +174,21 @@ def run_drifting_campaign(work_dir, *,
         serving_version = registry.save(cfg.name, serving_model)
         registry.pin_serving(cfg.name, serving_version)
 
+        # Telemetry on a clock that never moves: the whole campaign
+        # shares one window bucket and no evaluation is time-triggered.
+        # On the wall clock a replay straddling a bucket boundary sums
+        # the drift window in two parts, and the windowed mean (so the
+        # summary) differs in the last ulp from a run that did not.
+        gw_config = GatewayConfig(shards=cfg.shards, routing_seed=cfg.seed)
         gateway = AsyncGateway(
-            serving_model, version=serving_version,
-            config=GatewayConfig(shards=cfg.shards,
-                                 routing_seed=cfg.seed),
+            serving_model, version=serving_version, config=gw_config,
+            telemetry=TelemetryPlane(
+                window_s=gw_config.window_s,
+                slow_window_s=gw_config.slow_window_s,
+                slos=AsyncGateway.default_slos(gw_config),
+                baseline=baseline_of(serving_model),
+                clock=ManualClock(),
+            ),
         )
         events = gateway.telemetry.events
         phases: list[dict] = []

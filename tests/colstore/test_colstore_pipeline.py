@@ -176,7 +176,7 @@ class TestPlumbing:
         c2, _ = clean_stream(multi, root / "c2")
         binner = object()
         with pytest.raises(ValueError, match="chunk-aligned"):
-            binned_label_chunks(c1, c2, binner)
+            binned_label_chunks(c1, c2, binner, root / "wcodes")
 
     def test_unknown_model_and_task_rejected(self, stores):
         root, _, _ = stores

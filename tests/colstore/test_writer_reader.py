@@ -77,6 +77,25 @@ class TestDeterministicChunking:
         m = Manifest.load(tmp_path / "s")
         assert [c.rows for c in m.chunks] == [16, 16, 16, 2]
 
+    def test_matrix_column_chunks_along_rows(self, tmp_path):
+        """A 2-D column is cut into row blocks, whatever the batches."""
+        codes = np.arange(50 * 3, dtype=np.uint8).reshape(50, 3)
+        with ShardWriter(tmp_path / "s", chunk_rows=16) as w:
+            for start, stop in [(0, 13), (13, 30), (30, 50)]:
+                w.append({"codes": codes[start:stop]})
+        m = Manifest.load(tmp_path / "s")
+        assert [c.rows for c in m.chunks] == [16, 16, 16, 2]
+        for c, start in zip(m.chunks, range(0, 50, 16)):
+            shard = np.load(str(tmp_path / "s" / c.files["codes"]),
+                            mmap_mode="r")
+            assert shard.dtype == np.uint8
+            assert shard.tobytes() == codes[start:start + c.rows].tobytes()
+
+    def test_scalar_column_raises(self, tmp_path):
+        w = ShardWriter(tmp_path / "s", chunk_rows=8)
+        with pytest.raises(ValueError, match=">= 1-D"):
+            w.append({"v": np.float64(1.0)})
+
 
 class TestSchemaStability:
     def test_kind_mismatch_raises(self, tmp_path):

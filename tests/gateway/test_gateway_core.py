@@ -40,8 +40,11 @@ class TestOrderedDelivery:
         assert stats.shed == 0
 
     def test_predictions_verifiable_per_request(self):
+        # Wide window, as above: a 429-style shed carries no prediction,
+        # and whether one happens depends on host speed, not the code.
         responses, lines, _ = drive(SumModel(), shards=2, n_conns=3,
-                                    seed=3)
+                                    seed=3,
+                                    config_kwargs={"queue_depth": 4096})
         for conn_resp, conn_sent in zip(responses, lines):
             for r, line in zip(conn_resp, conn_sent):
                 req = json.loads(line)
@@ -199,6 +202,7 @@ class TestHotSwapStamping:
         responses, lines, stats = drive(
             old, shards=2, n_conns=3, rate_hz=3000.0, horizon_s=0.15,
             seed=17, side=swap_mid_load,
+            config_kwargs={"queue_depth": 4096},  # stamping, not shedding
         )
         assert stats.swaps == 1
         assert_no_drop_dup_reorder(responses, lines)

@@ -90,9 +90,8 @@ class TestToleranceBites:
         baseline = mae(y_te, model.predict(X_te))
 
         tree = model._trees[0]
-        node = next(n for n in tree.nodes if not n.is_leaf)
-        node.threshold_bin += 1  # the "perturbed tree-split constant"
-        tree._flat = None  # direct node surgery bypasses fit's reset
+        node = int(np.flatnonzero(tree.feature >= 0)[0])
+        tree.threshold_bin[node] += 1  # the "perturbed tree-split constant"
         perturbed = mae(y_te, model.predict(X_te))
 
         shift = abs(perturbed - baseline) / baseline

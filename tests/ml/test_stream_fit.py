@@ -110,10 +110,10 @@ class TestTreeStream:
 
     def test_multi_chunk_same_structure(self):
         ref, stream, binned = self._fit_pair([200, 200, 200])
-        r, s = ref.nodes, stream.nodes
-        assert len(r) == len(s)
-        assert [n.feature for n in r] == [n.feature for n in s]
-        assert [n.threshold_bin for n in r] == [n.threshold_bin for n in s]
+        for name in ("feature", "threshold_bin", "left", "right",
+                     "n_samples"):
+            assert getattr(ref, name).tobytes() == \
+                getattr(stream, name).tobytes(), name
         assert np.allclose(ref.predict_binned(binned),
                            stream.predict_binned(binned),
                            rtol=1e-12, atol=1e-12)

@@ -21,15 +21,19 @@ from repro.ml.gbdt import GBDTClassifier, GBDTQuantileRegressor, GBDTRegressor
 from repro.ml.tree import FeatureBinner, HistogramTree, TreeParams
 
 
+#: Every node array of a grown tree (see HistogramTree).
+NODE_ARRAYS = ("feature", "threshold_bin", "left", "right", "n_samples",
+               "gain", "value")
+
+
 def _assert_same_tree(got: HistogramTree, want: HistogramTree):
     """Node-for-node, bit-for-bit structural equality."""
-    assert len(got.nodes) == len(want.nodes)
-    for i, (a, b) in enumerate(zip(got.nodes, want.nodes)):
-        assert (a.feature, a.threshold_bin, a.left, a.right, a.n_samples) \
-            == (b.feature, b.threshold_bin, b.left, b.right, b.n_samples), i
-        assert a.gain == b.gain, i  # float equality, not allclose
-        va, vb = np.asarray(a.value), np.asarray(b.value)
-        assert va.dtype == vb.dtype and np.array_equal(va, vb), i
+    for name in NODE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        # Same dtype and shape, then byte equality: float gains and
+        # values compare bit for bit, not allclose.
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
     assert np.array_equal(got.feature_gain_, want.feature_gain_)
 
 

@@ -84,7 +84,7 @@ class TestHistogramTree:
         binner = FeatureBinner().fit(X)
         tree = HistogramTree(TreeParams(max_depth=10, min_samples_leaf=50))
         tree.fit(binner.transform(X), y[:, None], np.ones((len(y), 1)))
-        leaf_sizes = [n.n_samples for n in tree.nodes if n.is_leaf]
+        leaf_sizes = tree.n_samples[tree.feature < 0]
         assert min(leaf_sizes) >= 50
 
     def test_pure_target_yields_single_leaf(self):

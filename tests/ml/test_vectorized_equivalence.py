@@ -66,7 +66,7 @@ class TestHistogramTreeEquivalence:
         leaves = tree.apply(binned)
         leaves_slow = tree.apply_slow(binned)
         assert np.array_equal(leaves, leaves_slow)
-        assert all(tree.nodes[i].is_leaf for i in np.unique(leaves))
+        assert (tree.feature[np.unique(leaves)] < 0).all()
 
     def test_multi_output_values(self):
         rng = np.random.default_rng(7)

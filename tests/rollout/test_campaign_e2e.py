@@ -18,6 +18,7 @@ import dataclasses
 
 import pytest
 
+from repro.obs.telemetry import TelemetryPlane
 from repro.resil import faults
 from repro.rollout import DriftCampaignConfig, run_drifting_campaign
 
@@ -90,6 +91,25 @@ class TestDeterminism:
             tmp_path_factory.mktemp("rerun4"),
             config=dataclasses.replace(CFG, workers=4),
         )
+        assert rerun == happy
+
+    def test_summary_independent_of_wall_clock(
+            self, happy, tmp_path_factory, monkeypatch):
+        """A wall clock that leaps a whole window bucket on every read
+        -- every replay straddles bucket boundaries, windows roll over
+        mid-phase -- leaves the summary as it was: the campaign's
+        telemetry never reads the wall clock."""
+        now = [0.0]
+
+        def leaping_clock() -> float:
+            now[0] += 10.0
+            return now[0]
+
+        # Every telemetry plane built on the default clock reads it.
+        monkeypatch.setitem(TelemetryPlane.__init__.__kwdefaults__,
+                            "clock", leaping_clock)
+        rerun = run_drifting_campaign(tmp_path_factory.mktemp("leap"),
+                                      config=CFG)
         assert rerun == happy
 
 
