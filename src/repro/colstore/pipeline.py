@@ -18,7 +18,10 @@ bounded-memory pipeline (docs/colstore.md):
 6. ``fit_binned_stream`` on the GBDT / random-forest families, which
    re-read that ``(codes, y)`` stream once per pass -- one memory-mapped
    uint8 shard plus the label column per chunk, never the float
-   features -- and keep only O(rows) driver state.
+   features -- and keep only O(rows) driver state,
+7. the training-time drift baseline (and, for a refit, the training
+   error), scored from the same stream through the models' binned
+   entry points: the float features are read once, to bin them.
 
 Every intermediate store is content-addressed, so re-running
 :func:`train_from_store` over the same inputs reuses the cleaned and
@@ -155,8 +158,29 @@ def binned_label_chunks(feat_reader: ChunkReader, label_reader: ChunkReader,
     return chunks
 
 
+def _scored_chunks(estimator, feat_reader: ChunkReader, chunks, proba: bool):
+    """Per-chunk ``(predictions, y)``; class probabilities with ``proba``.
+
+    Given ``chunks`` -- the ``(binned, y)`` stream
+    :func:`binned_label_chunks` built over ``feat_reader`` for the fit
+    -- the codes store is scored through the ensemble's binned entry
+    points (``predict_binned`` / ``predict_proba_binned``), and the
+    float features are neither read nor re-binned; ``y`` comes from the
+    stream.  Otherwise each float feature chunk goes through
+    ``predict`` / ``predict_proba`` and ``y`` is None.  Both give the
+    same predictions bit for bit: the codes are ``binner.transform`` of
+    those chunks.
+    """
+    if chunks is None:
+        predict = estimator.predict_proba if proba else estimator.predict
+        return ((predict(X), None) for X in feature_matrix_chunks(feat_reader))
+    predict = (estimator.predict_proba_binned if proba
+               else estimator.predict_binned)
+    return ((predict(binned), y) for binned, y in chunks())
+
+
 def streamed_prediction_baseline(estimator, feat_reader: ChunkReader,
-                                 stat: str = "prediction"):
+                                 stat: str = "prediction", chunks=None):
     """A :class:`DriftBaseline` over streamed predictions, bounded memory.
 
     The in-memory path (``Lumos5G.publish``) gathers every training-time
@@ -166,7 +190,9 @@ def streamed_prediction_baseline(estimator, feat_reader: ChunkReader,
     small-data fast path) the result is bit-identical to the gathered
     computation; past capacity the quantiles are sketch approximations
     and the moments stay exact.  Classifiers summarize their max
-    class probability, matching the in-memory publish path.
+    class probability, matching the in-memory publish path.  Pass the
+    fit's ``chunks`` to score its codes store instead of re-binning
+    ``feat_reader`` (:func:`_scored_chunks`).
     """
     import math
 
@@ -176,11 +202,12 @@ def streamed_prediction_baseline(estimator, feat_reader: ChunkReader,
     sketch = QuantileSketch()
     total, acc, acc2 = 0, 0.0, 0.0
     is_classifier = hasattr(estimator, "predict_proba")
-    for X in feature_matrix_chunks(feat_reader):
+    for pred, _ in _scored_chunks(estimator, feat_reader, chunks,
+                                  proba=is_classifier):
         if is_classifier:
-            values = np.max(estimator.predict_proba(X), axis=1)
+            values = np.max(pred, axis=1)
         else:
-            values = np.asarray(estimator.predict(X), dtype=float).ravel()
+            values = np.asarray(pred, dtype=float).ravel()
         values = values[np.isfinite(values)]
         if values.size == 0:
             continue
@@ -201,15 +228,22 @@ def streamed_prediction_baseline(estimator, feat_reader: ChunkReader,
 
 def streamed_error(estimator, feat_reader: ChunkReader,
                    label_reader: ChunkReader, task: str = "regression",
-                   label_of=None) -> dict:
-    """Streamed training-set error: MAE/RMSE or error rate, one pass."""
+                   label_of=None, chunks=None) -> dict:
+    """Streamed training-set error: MAE/RMSE or error rate, one pass.
+
+    With the fit's ``chunks`` the codes store is scored and the targets
+    come from the stream, which already applied ``label_of``
+    (:func:`_scored_chunks`); otherwise ``label_reader``'s label column,
+    mapped through ``label_of``.
+    """
     abs_acc, sq_acc, wrong, n = 0.0, 0.0, 0, 0
     labels = label_reader.iter_chunks([LABEL_COLUMN])
-    for X in feature_matrix_chunks(feat_reader):
-        raw = np.asarray(next(labels)[LABEL_COLUMN], dtype=float)
-        y = label_of(raw) if label_of else raw
-        pred = estimator.predict(X)
-        n += len(X)
+    for pred, y in _scored_chunks(estimator, feat_reader, chunks,
+                                  proba=False):
+        if y is None:
+            raw = np.asarray(next(labels)[LABEL_COLUMN], dtype=float)
+            y = label_of(raw) if label_of else raw
+        n += len(pred)
         if task == "classification":
             wrong += int(np.sum(np.asarray(pred) != np.asarray(y)))
         else:
@@ -310,7 +344,8 @@ def train_from_store(
         # Lumos5G.publish() output: the training-time prediction
         # baseline rides along (streamed -- the predictions are never
         # gathered) and round-trips through ml.serialize.
-        baseline = streamed_prediction_baseline(estimator, feats)
+        baseline = streamed_prediction_baseline(estimator, feats,
+                                                chunks=chunks)
         estimator.drift_baseline_ = baseline.to_dict()
     info = {
         "raw_rows": len(raw),
@@ -384,10 +419,11 @@ def refit_from_store(
         chunks = binned_label_chunks(feats, cleaned, estimator._binner,
                                      work_dir, label_of=label_of)
         estimator.fit_more_binned_stream(n_rounds, chunks)
-        baseline = streamed_prediction_baseline(estimator, feats)
+        baseline = streamed_prediction_baseline(estimator, feats,
+                                                chunks=chunks)
         estimator.drift_baseline_ = baseline.to_dict()
         train_error = streamed_error(estimator, feats, cleaned, task,
-                                     label_of=label_of)
+                                     label_of=label_of, chunks=chunks)
     info = {
         "refit_rows": len(cleaned),
         "n_chunks": cleaned.n_chunks,

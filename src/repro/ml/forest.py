@@ -4,6 +4,10 @@ Bagged histogram trees with per-split feature subsampling.  The regressor
 averages leaf means; the classifier averages per-class scores of trees fit
 on one-hot targets (probability forests), matching scikit-learn's
 ``predict_proba``-averaging behaviour closely enough for baseline duty.
+Prediction descends every tree in one traversal
+(:func:`repro.ml.tree._ensemble_sums`), so its cost grows with depth,
+not with the number of trees times depth; ``max_depth=None`` grows
+until ``min_samples_leaf`` stops a split.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from repro.ml.tree import (
     FeatureBinner,
     HistogramTree,
     TreeParams,
+    _ensemble_sums,
     _feature_importances,
     _one_chunk,
 )
@@ -180,19 +185,28 @@ class _ForestBase:
         if out_of_core:
             self.fit_telemetry_["out_of_core"] = True
 
-    def _mean_prediction(self, X) -> np.ndarray:
+    def _check_fitted(self) -> None:
         if self._binner is None:
             raise RuntimeError("model is not fitted")
-        binned = self._binner.transform(np.asarray(X, dtype=float))
-        acc = np.zeros((len(binned), self._trees[0].n_outputs))
-        for tree in self._trees:
-            acc += tree.predict_binned(binned)
-        return acc / len(self._trees)
+
+    def _bin(self, X) -> np.ndarray:
+        self._check_fitted()
+        return self._binner.transform(np.asarray(X, dtype=float))
+
+    def _mean_prediction(self, binned: np.ndarray) -> np.ndarray:
+        """Mean of the trees' leaf values per row: one traversal of the
+        whole forest, summed in tree order from zeros, then divided by
+        the tree count."""
+        self._check_fitted()
+        trees = self._trees
+        sums = _ensemble_sums(trees, binned,
+                              np.concatenate([t.value for t in trees]),
+                              np.zeros((len(binned), trees[0].n_outputs)))
+        return sums / len(trees)
 
     @property
     def feature_importances_(self) -> np.ndarray:
-        if self._binner is None:
-            raise RuntimeError("model is not fitted")
+        self._check_fitted()
         return _feature_importances(self._trees, self.n_features_)
 
 
@@ -204,8 +218,12 @@ class RandomForestRegressor(_ForestBase):
     def _targets(self, y) -> np.ndarray:
         return np.asarray(y, dtype=float).reshape(-1, 1)
 
+    def predict_binned(self, binned: np.ndarray) -> np.ndarray:
+        """:meth:`predict` for rows already coded by the model's binner."""
+        return self._mean_prediction(binned)[:, 0]
+
     def predict(self, X) -> np.ndarray:
-        return self._mean_prediction(X)[:, 0]
+        return self.predict_binned(self._bin(X))
 
 
 class RandomForestClassifier(_ForestBase):
@@ -221,15 +239,24 @@ class RandomForestClassifier(_ForestBase):
         return one_hot(self.encoder_.transform(np.asarray(y)),
                        len(self.encoder_.classes_))
 
-    def predict_proba(self, X) -> np.ndarray:
-        scores = np.clip(self._mean_prediction(X), 0.0, None)
+    def predict_proba_binned(self, binned: np.ndarray) -> np.ndarray:
+        """:meth:`predict_proba` for rows already coded by the model's
+        binner."""
+        scores = np.clip(self._mean_prediction(binned), 0.0, None)
         totals = scores.sum(axis=1, keepdims=True)
         totals[totals == 0.0] = 1.0
         return scores / totals
 
-    def predict(self, X) -> np.ndarray:
-        codes = np.argmax(self._mean_prediction(X), axis=1)
+    def predict_proba(self, X) -> np.ndarray:
+        return self.predict_proba_binned(self._bin(X))
+
+    def predict_binned(self, binned: np.ndarray) -> np.ndarray:
+        """:meth:`predict` for rows already coded by the model's binner."""
+        codes = np.argmax(self._mean_prediction(binned), axis=1)
         return self.encoder_.inverse_transform(codes)
+
+    def predict(self, X) -> np.ndarray:
+        return self.predict_binned(self._bin(X))
 
     @property
     def classes_(self) -> np.ndarray:

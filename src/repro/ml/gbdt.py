@@ -36,6 +36,17 @@ level and match to summation order (docs/colstore.md).  ``subsample <
 1`` is in-memory only, and so is the quantile family, whose leaf refit
 needs every in-bag residual of a leaf at once.
 
+Prediction scores every tree in one traversal of the whole ensemble
+(:func:`repro.ml.tree._ensemble_sums`): the loss object's ``table``
+concatenates each tree's per-node output (leaf values; the quantile
+family's refit values), and the shrunken steps are added in tree order
+from the base score -- the same float ops as the rounds' ``state +=
+lr * step`` -- so ``predict``, ``staged_errors`` and the warm-start
+replay cost O(depth) numpy passes per row block, not one descent per
+tree.  ``predict_binned`` (and the classifier's ``predict_proba_binned``)
+score rows already coded by the model's binner, as a store fit's codes
+store is.
+
 Warm starts (docs/continuous_learning.md): every family supports
 ``fit_more(n_rounds, X, y)`` -- append boosting rounds on fresh data while
 reusing the existing trees, binner, and base score.  The boosting
@@ -59,6 +70,7 @@ from repro.ml.tree import (
     FeatureBinner,
     HistogramTree,
     TreeParams,
+    _ensemble_sums,
     _feature_importances,
     _one_chunk,
 )
@@ -104,6 +116,11 @@ class _SquaredError:
         """Tree ``i``'s unshrunken output per row."""
         return self.model._trees[i].predict_binned(binned)[:, 0]
 
+    def table(self) -> np.ndarray:
+        """Every tree's per-node output, concatenated in tree order: what
+        :meth:`step` gathers, for the whole ensemble at once."""
+        return np.concatenate([t.value[:, 0] for t in self.model._trees])
+
     def loss_sum(self, state: np.ndarray, y: np.ndarray) -> float:
         return float(np.sum((y - state) ** 2))
 
@@ -145,6 +162,9 @@ class _PinballLoss(_SquaredError):
         model = self.model
         return model._leaf_values[i][model._trees[i].apply(binned)]
 
+    def table(self):
+        return np.concatenate(self.model._leaf_values)
+
     def loss_sum(self, state, y) -> float:
         alpha, residual = self.model.quantile, y - state
         return float(np.sum(np.where(residual >= 0.0, alpha * residual,
@@ -174,6 +194,9 @@ class _SoftmaxLoss(_SquaredError):
 
     def step(self, i, binned):
         return self.model._trees[i].predict_binned(binned)
+
+    def table(self):
+        return np.concatenate([t.value for t in self.model._trees])
 
     def loss_sum(self, state, y) -> float:
         picked = np.clip(softmax(state)[np.arange(len(y)), y], 1e-12, 1.0)
@@ -292,13 +315,19 @@ class _GBDTBase:
 
     # -- the boosting driver -------------------------------------------------- #
 
-    def _scores(self, binned: np.ndarray) -> np.ndarray:
-        """Raw score per row: base plus every tree's shrunken step."""
+    def _scores(self, binned: np.ndarray,
+                staged: bool = False) -> np.ndarray:
+        """Raw score per row: base plus every tree's shrunken step.
+
+        One traversal of the whole ensemble (:func:`_ensemble_sums`)
+        adds the steps in tree order, bit for bit as the rounds added
+        them; ``staged`` returns the score after every stage, base
+        first, shape ``(T + 1, n[, k])``.
+        """
         loss = self._LOSS(self)
-        out = loss.start(len(binned))
-        for i in range(len(self._trees)):
-            out += self.learning_rate * loss.step(i, binned)
-        return out
+        return _ensemble_sums(self._trees, binned,
+                              self.learning_rate * loss.table(),
+                              loss.start(len(binned)), staged)
 
     def _drive(self, n_rounds: int, chunks, binner: FeatureBinner | None = None,
                out_of_core: bool = False):
@@ -411,25 +440,25 @@ class _GBDTBase:
         """Raw scores -> predictions (the regressors predict the score)."""
         return score
 
-    def _raw(self, X) -> np.ndarray:
+    def _bin(self, X) -> np.ndarray:
         self._check_fitted()
-        return self._scores(self._binner.transform(np.asarray(X, dtype=float)))
+        return self._binner.transform(np.asarray(X, dtype=float))
+
+    def predict_binned(self, binned: np.ndarray) -> np.ndarray:
+        """Predictions for rows already coded by the model's own binner
+        (a store fit's codes store, say): :meth:`predict` without the
+        binning."""
+        self._check_fitted()
+        return self._decode(self._scores(binned))
 
     def predict(self, X) -> np.ndarray:
-        return self._decode(self._raw(X))
+        return self.predict_binned(self._bin(X))
 
     def staged_errors(self, X, y, metric) -> list[float]:
         """Metric after each boosting stage (for learning-curve ablations)."""
-        self._check_fitted()
-        binned = self._binner.transform(np.asarray(X, dtype=float))
+        stages = self._scores(self._bin(X), staged=True)
         y = np.asarray(y)
-        loss = self._LOSS(self)
-        score = loss.start(len(binned))
-        out = []
-        for i in range(len(self._trees)):
-            score += self.learning_rate * loss.step(i, binned)
-            out.append(metric(y, self._decode(score)))
-        return out
+        return [metric(y, self._decode(score)) for score in stages[1:]]
 
 
 class GBDTRegressor(_GBDTBase):
@@ -534,8 +563,14 @@ class GBDTClassifier(_GBDTBase):
     def _decode(self, score):
         return self.encoder_.inverse_transform(np.argmax(score, axis=1))
 
+    def predict_proba_binned(self, binned: np.ndarray) -> np.ndarray:
+        """:meth:`predict_proba` for rows already coded by the model's
+        binner."""
+        self._check_fitted()
+        return softmax(self._scores(binned))
+
     def predict_proba(self, X) -> np.ndarray:
-        return softmax(self._raw(X))
+        return self.predict_proba_binned(self._bin(X))
 
     @property
     def classes_(self) -> np.ndarray:

@@ -12,6 +12,13 @@ use in the repo:
 Trees support multi-output targets: a leaf stores a k-vector and the split
 gain sums over outputs.
 
+Prediction has one traversal (:func:`_descend`): every (row, tree) pair
+of a batch descends level by level through node arrays, so an ensemble
+of T trees costs O(max depth) numpy passes, not T Python-level descents.
+A single tree is its one-tree case; :func:`_ensemble_sums` concatenates
+an ensemble's node arrays on every call and accumulates the trees'
+outputs in tree order, bit for bit as a per-tree loop would.
+
 Growth runs through an iterative, frontier-based engine
 (:class:`_TreeGrower`) with the four classic histogram-GBDT
 optimizations -- one-shot all-feature offset-bincount histograms, the
@@ -25,6 +32,7 @@ bit-identical trees: same node order, splits, values, gains and
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -150,12 +158,18 @@ class FeatureBinner:
 class TreeParams:
     """Growth limits shared by all tree consumers."""
 
-    max_depth: int = 6
+    #: None = unbounded: only min_samples_leaf and min_gain stop a split.
+    max_depth: int | None = 6
     min_samples_leaf: int = 5
     min_gain: float = 1e-12
     reg_lambda: float = 1.0
     #: Number of features considered per split; None = all ("sqrt" for RF).
     max_features: int | str | None = None
+
+    @property
+    def depth_limit(self) -> float:
+        """``max_depth`` as a bound every depth compares against."""
+        return math.inf if self.max_depth is None else self.max_depth
 
 
 @dataclass
@@ -447,7 +461,7 @@ class _TreeGrower:
             H = self.H[s:e].sum(axis=0)
             node = _Node(value=tree._leaf_value(G, H), n_samples=m)
             nodes.append(node)
-            if depth >= p.max_depth or m < 2 * p.min_samples_leaf:
+            if depth >= p.depth_limit or m < 2 * p.min_samples_leaf:
                 continue
             features = (None if self.full
                         else self.rng.choice(self.d, size=self.k_feat,
@@ -474,8 +488,8 @@ class _TreeGrower:
             lhist = rhist = None
             lder = rder = False
             if self.full:
-                lneed = cdepth < p.max_depth and nl >= 2 * p.min_samples_leaf
-                rneed = cdepth < p.max_depth and nr >= 2 * p.min_samples_leaf
+                lneed = cdepth < p.depth_limit and nl >= 2 * p.min_samples_leaf
+                rneed = cdepth < p.depth_limit and nr >= 2 * p.min_samples_leaf
                 small_is_left = nl <= nr
                 other_need = rneed if small_is_left else lneed
                 other_size = nr if small_is_left else nl
@@ -699,7 +713,7 @@ class _StreamingTreeGrower:
                     node.value = tree._leaf_value(G, H)
                     node.n_samples = m
                     depth = depths.pop(nid)
-                    if depth >= p.max_depth or m < 2 * p.min_samples_leaf:
+                    if depth >= p.depth_limit or m < 2 * p.min_samples_leaf:
                         continue
                     features = (None if self.full
                                 else self.rng.choice(self.d, size=self.k_feat,
@@ -751,8 +765,10 @@ class HistogramTree:
     deserialization) finishes, so a trained ensemble holds a handful of
     arrays per tree rather than one Python object per node.
 
-    Prediction uses a vectorized level-order descent over those arrays
-    (see :meth:`predict_binned`); the original per-row/per-node loop
+    Prediction is the one-tree case of the ensemble traversal
+    (:func:`_descend`, a vectorized level-order descent over those
+    arrays); GBDT and forest models descend all their trees at once
+    through :func:`_ensemble_sums`.  The original per-row/per-node loop
     survives as :meth:`predict_binned_slow` because it is the reference
     implementation the equivalence property tests (and the serving
     benchmark baseline) compare against.
@@ -899,7 +915,7 @@ class HistogramTree:
         nodes.append(node)
 
         p = self.params
-        if depth >= p.max_depth or len(idx) < 2 * p.min_samples_leaf:
+        if depth >= p.depth_limit or len(idx) < 2 * p.min_samples_leaf:
             return node_id
 
         n_features = binned.shape[1]
@@ -961,36 +977,20 @@ class HistogramTree:
 
     # -- prediction ---------------------------------------------------------- #
 
-    def _descend(self, binned: np.ndarray) -> np.ndarray:
-        """Vectorized level-order descent: the leaf node-id per row."""
-        feature, threshold = self.feature, self.threshold_bin
-        left, right = self.left, self.right
-        n = len(binned)
-        node_ids = np.zeros(n, dtype=np.int64)
-        # Rows still sitting at an internal node, advanced one level per
-        # iteration -- at most ``depth`` passes of O(n) numpy work.
-        active = np.flatnonzero(np.take(feature, node_ids) >= 0)
-        while active.size:
-            nid = node_ids[active]
-            f = np.take(feature, nid)
-            goes_left = binned[active, f] <= np.take(threshold, nid)
-            nxt = np.where(goes_left, np.take(left, nid), np.take(right, nid))
-            node_ids[active] = nxt
-            active = active[np.take(feature, nxt) >= 0]
-        return node_ids
-
     def predict_binned(self, binned: np.ndarray) -> np.ndarray:
         """Leaf values for pre-binned samples; shape (n, k).
 
-        Vectorized over the whole batch: rows descend level-by-level
-        through the node arrays (``np.take`` gathers), so cost is
+        The one-tree case of the ensemble traversal (:func:`_descend`):
+        rows descend level by level through the node arrays, so cost is
         O(depth) numpy passes instead of a Python loop per node group.
         """
-        return np.take(self.value, self._descend(binned), axis=0)
+        return np.take(self.value, self.apply(binned), axis=0)
 
     def apply(self, binned: np.ndarray) -> np.ndarray:
         """Leaf node-id each pre-binned sample lands in."""
-        return self._descend(binned)
+        return _descend(binned, self.feature, self.threshold_bin,
+                        _kids(self.feature, self.left, self.right),
+                        _ONE_ROOT)[:, 0]
 
     # -- reference (per-row) prediction -------------------------------------- #
 
@@ -1053,6 +1053,119 @@ class HistogramTree:
                 return 0
             return 1 + max(walk(self.left[i]), walk(self.right[i]))
         return walk(0) if len(self.feature) else 0
+
+
+#: Rows per block of an ensemble traversal: bounds its (rows x trees)
+#: int64 node ids and float accumulation on large evaluations.
+_ROW_BLOCK = 256
+
+#: Root of a lone tree, for :meth:`HistogramTree.apply`.
+_ONE_ROOT = np.zeros(1, dtype=np.int64)
+
+
+def _descend(binned, feature, threshold, kids, roots) -> np.ndarray:
+    """The tree traversal: leaf node-id of every (row, tree) pair.
+
+    ``feature`` and ``threshold`` are node arrays and ``kids`` the
+    child ids :func:`_kids` interleaves -- one tree's, or a whole
+    ensemble's concatenated by :func:`_stack` -- and ``roots`` holds
+    each tree's root id.  Every pair starts at its tree's root and the
+    active pairs advance one level per iteration until all sit at
+    leaves, so a batch costs O(max depth) numpy passes whatever the
+    tree count, with no depth bound.  Returns shape ``(n, len(roots))``.
+
+    A leaf is its own child, so a pair that reached one stays there
+    (reading a code it ignores, at offset -1 of its row); the active set
+    is compacted only once at least half of it is done, which keeps
+    balanced ensembles (every leaf at one depth) free of per-level
+    filtering.
+    """
+    T, d = len(roots), binned.shape[1]
+    # Rows are read through flat offsets, where a split feature past the
+    # last column would silently read the next row: refuse it up front.
+    if len(feature) and int(feature.max()) >= d:
+        raise IndexError(f"a tree splits on feature {int(feature.max())} "
+                         f"of a {d}-column batch")
+    codes = np.ravel(binned)
+    node_ids = np.empty((len(binned), T), dtype=np.int64)
+    node_ids[:] = roots
+    leaf_of = node_ids.reshape(-1)
+    # The active set: flat pair index, current node, the pair's row
+    # offset into ``codes`` and the node's split feature.
+    pos = np.flatnonzero(np.take(feature, leaf_of) >= 0)
+    nid = leaf_of[pos]
+    base = pos // T * d
+    f = np.take(feature, nid)
+    while pos.size:
+        goes_right = np.take(codes, base + f) > np.take(threshold, nid)
+        nid = np.take(kids, 2 * nid + goes_right)
+        f = np.take(feature, nid)
+        at_leaf = f < 0
+        done = int(np.count_nonzero(at_leaf))
+        if 2 * done >= len(pos):
+            leaf_of[pos] = nid
+            inner = ~at_leaf
+            pos, nid, base, f = pos[inner], nid[inner], base[inner], f[inner]
+    return node_ids
+
+
+def _kids(feature, left, right) -> np.ndarray:
+    """Child ids interleaved as :func:`_descend` reads them:
+    ``kids[2 * i]`` / ``kids[2 * i + 1]`` are node ``i``'s left / right
+    child, and a leaf is its own child."""
+    own = np.arange(len(feature), dtype=np.int64)
+    leaf = feature < 0
+    return np.stack([np.where(leaf, own, left), np.where(leaf, own, right)],
+                    axis=1).reshape(-1)
+
+
+def _stack(trees: list[HistogramTree]):
+    """An ensemble's node arrays concatenated in tree order.
+
+    Returns ``(feature, threshold, kids, roots)`` for :func:`_descend`:
+    child ids are shifted to index the concatenation and ``roots[t]``
+    is tree ``t``'s first node, so a per-node table concatenated the
+    same way is indexed by the leaf ids it returns.  Built on every
+    call, never cached: a tree changed in place is read as it stands.
+    """
+    sizes = np.array([len(t.feature) for t in trees], dtype=np.int64)
+    roots = np.cumsum(sizes) - sizes
+    shift = np.repeat(roots, sizes)
+    feature = np.concatenate([t.feature for t in trees])
+    return (feature,
+            np.concatenate([t.threshold_bin for t in trees]),
+            _kids(feature, np.concatenate([t.left for t in trees]) + shift,
+                  np.concatenate([t.right for t in trees]) + shift),
+            roots)
+
+
+def _ensemble_sums(trees: list[HistogramTree], binned: np.ndarray,
+                   table: np.ndarray, start: np.ndarray,
+                   staged: bool = False) -> np.ndarray:
+    """``start`` plus every tree's ``table`` entry at its leaf, per row.
+
+    ``table`` holds a per-node output for every tree, concatenated in
+    tree order (``(N,)`` or ``(N, k)``); ``start`` is ``(n,)`` or
+    ``(n, k)``.  One :func:`_descend` call per ``_ROW_BLOCK`` rows
+    finds every tree's leaf; ``np.add.accumulate`` then adds the
+    outputs strictly in tree order, so the sums are bit-identical to
+    ``out = start; for t: out += table_t[leaf_t]``.  Returns the final
+    sums (shaped like ``start``), or with ``staged`` every partial sum,
+    shape ``(T + 1, *start.shape)`` with ``start`` first.
+    """
+    arrays = _stack(trees)
+    out = (np.empty((len(trees) + 1,) + start.shape) if staged
+           else np.empty_like(start))
+    for s in range(0, len(binned), _ROW_BLOCK):
+        e = s + _ROW_BLOCK
+        leaves = _descend(binned[s:e], *arrays)
+        steps = np.concatenate([start[s:e, None], table[leaves]], axis=1)
+        np.add.accumulate(steps, axis=1, out=steps)
+        if staged:
+            out[:, s:e] = np.moveaxis(steps, 1, 0)
+        else:
+            out[s:e] = steps[:, -1]
+    return out
 
 
 def _one_chunk(binned: np.ndarray, y: np.ndarray):

@@ -6,7 +6,8 @@ one uint8 shard per chunk.  Three claims:
 
 * **Read-count guard** -- inside ``fit_binned_stream`` the binner's
   ``transform`` runs zero times and the feature store is never read,
-  however many rounds (trees) the fit grows.
+  however many rounds (trees) the fit grows; nor in scoring the fitted
+  model's drift baseline and training error from the same stream.
 * **Bit identity** -- a ``train_from_store`` model serializes exactly
   like the same estimator fit on an in-memory stream of
   ``binner.transform(X)`` chunks (the per-pass re-binning the codes
@@ -28,6 +29,7 @@ from repro.colstore.pipeline import (
     bin_store,
     binned_label_chunks,
     feature_matrix_chunks,
+    streamed_error,
     streamed_prediction_baseline,
     train_from_store,
 )
@@ -38,7 +40,7 @@ from repro.env.areas import build_airport
 from repro.fstore.offline import OfflineMaterializer
 from repro.fstore.views import combination_view
 from repro.ml.forest import RandomForestRegressor
-from repro.ml.gbdt import GBDTRegressor
+from repro.ml.gbdt import GBDTClassifier, GBDTRegressor
 from repro.ml.serialize import model_to_dict
 from repro.ml.tree import FeatureBinner
 from repro.sim.collection import CampaignConfig, run_area_campaign
@@ -115,9 +117,12 @@ class TestReadCountGuard:
         chunks = binned_label_chunks(feats, cleaned, binner, tmp_path)
         # Building the stream bins each feature chunk exactly once ...
         assert counts.take() == (N_CHUNKS, N_CHUNKS)
-        family(n_estimators=rounds, max_depth=4,
-               random_state=SEED).fit_binned_stream(chunks, binner)
-        # ... and the fit, however many trees it grows, does neither.
+        est = family(n_estimators=rounds, max_depth=4,
+                     random_state=SEED).fit_binned_stream(chunks, binner)
+        # ... and the fit, however many trees it grows, does neither,
+        # nor does scoring the fitted model from the same stream.
+        streamed_prediction_baseline(est, feats, chunks=chunks)
+        streamed_error(est, feats, cleaned, chunks=chunks)
         assert counts.take() == (0, 0)
 
     def test_rebuilt_stream_reuses_codes(self, stores, tmp_path,
@@ -127,6 +132,30 @@ class TestReadCountGuard:
         counts = _Counts(monkeypatch, feats)
         binned_label_chunks(feats, cleaned, binner, tmp_path)
         assert counts.take() == (0, 0)
+
+
+class TestScoringTheCodes:
+    """Scoring the codes store gives what re-binning the features gave."""
+
+    @pytest.mark.parametrize("family,task", [
+        (GBDTRegressor, "regression"),
+        (GBDTClassifier, "classification"),
+        (RandomForestRegressor, "regression"),
+    ])
+    def test_baseline_and_error_bit_identical(self, stores, tmp_path,
+                                              family, task):
+        feats, cleaned, binner = stores
+        label_of = (DEFAULT_CLASSES.classify if task == "classification"
+                    else None)
+        chunks = binned_label_chunks(feats, cleaned, binner, tmp_path,
+                                     label_of=label_of)
+        est = family(n_estimators=6, max_depth=4,
+                     random_state=SEED).fit_binned_stream(chunks, binner)
+        assert streamed_prediction_baseline(est, feats, chunks=chunks) == \
+            streamed_prediction_baseline(est, feats)
+        assert streamed_error(est, feats, cleaned, task, label_of=label_of,
+                              chunks=chunks) == \
+            streamed_error(est, feats, cleaned, task, label_of=label_of)
 
 
 class TestCodesStore:
