@@ -26,25 +26,7 @@ from repro.ml.tree import (
     _feature_importances,
     _one_chunk,
 )
-from repro.par import pmap, spawn_seeds
-
-
-def _fit_one_tree(
-    binned: np.ndarray,
-    targets: np.ndarray,
-    hess: np.ndarray,
-    params: TreeParams,
-    bootstrap: bool,
-    n_bins: np.ndarray,
-    seed: np.random.SeedSequence,
-) -> HistogramTree:
-    """Pure per-tree task: bootstrap + grow from the tree's own seed."""
-    rng = np.random.default_rng(seed)
-    n = len(binned)
-    idx = rng.integers(0, n, size=n) if bootstrap else np.arange(n)
-    return HistogramTree(params).fit(
-        binned[idx], targets[idx], hess[idx], rng=rng, n_bins=n_bins
-    )
+from repro.par import spawn_seeds
 
 
 class _ForestBase:
@@ -57,7 +39,6 @@ class _ForestBase:
         bootstrap: bool = True,
         max_bins: int = 256,
         random_state: int | None = 0,
-        workers: int | None = None,
     ):
         if n_estimators < 1:
             raise ValueError("n_estimators must be >= 1")
@@ -67,11 +48,8 @@ class _ForestBase:
         self.max_features = max_features
         self.bootstrap = bootstrap
         self.max_bins = max_bins
+        #: Tree i grows from the i-th child of this seed's sequence.
         self.random_state = random_state
-        #: Process-pool size for tree fitting (None = REPRO_WORKERS).
-        #: Predictions are invariant to this: tree i always grows from
-        #: the i-th child of ``random_state``'s seed sequence.
-        self.workers = workers
         self._binner: FeatureBinner | None = None
         self._trees: list[HistogramTree] = []
         self.n_features_: int | None = None
@@ -108,18 +86,16 @@ class _ForestBase:
                           out_of_core: bool) -> None:
         """Tree fitting from a re-iterable ``(binned, y)`` stream.
 
-        In-memory data arrives as a one-chunk stream: its trees grow
-        from the gathered chunk on ``workers`` processes, each from its
-        own index-keyed seed.  Longer streams never gather: bootstrap
-        resampling becomes *row weighting*: tree ``i`` draws its
-        multinomial bootstrap counts from the same seed, then grows
-        with ``grad = w * target`` and ``hess = w`` -- the weighted leaf
-        mean equals the duplicated-row mean, but ``min_samples_leaf``
-        counts distinct rows (not draw multiplicity) and trees grow
-        serially (``workers`` is unused), so a multi-chunk streamed
-        forest is deterministic for a seed yet not identical to the
-        in-memory forest.  ``out_of_core`` marks a caller's stream in
-        ``fit_telemetry_``.
+        Tree ``i`` draws its bootstrap from the ``i``-th child of
+        ``random_state``'s seed sequence -- ``n`` draws over all rows,
+        turned into per-row draw counts -- and grows from the stream
+        with every row repeated by its count, in row order, chunk by
+        chunk (``min_samples_leaf`` counts draws, as resampling does).
+        In-memory data is the one-chunk stream, expanded once per tree;
+        a caller's stream (``out_of_core``, marked in
+        ``fit_telemetry_``) is re-read and re-expanded every pass, one
+        chunk at a time.  The grower is the same either way, so a store
+        fit equals the in-memory fit over the same chunks bit for bit.
         """
         if binner.edges_ is None:
             raise RuntimeError("binner is not fitted")
@@ -134,48 +110,32 @@ class _ForestBase:
             raise ValueError("empty chunk stream")
         self.n_features_ = d
         self._binner = binner
-        seeds = spawn_seeds(self.random_state, self.n_estimators)
-        params = self._params()
         offsets = np.concatenate([[0], np.cumsum(lens)])
-        if len(lens) == 1:
-            (binned0, y0), = chunks()
-            targets = self._targets(y0)
-            hess = np.ones_like(targets)
-            self._trees = pmap(
-                partial(_fit_one_tree, np.asarray(binned0), targets, hess,
-                        params, self.bootstrap, binner.n_bins_),
-                seeds,
-                workers=self.workers,
-                label="forest.fit",
-            )
-        else:
-            self._trees = []
-            for seed in seeds:
-                rng = np.random.default_rng(seed)
-                if self.bootstrap:
-                    counts = np.bincount(rng.integers(0, n, size=n),
-                                         minlength=n).astype(float)
-                else:
-                    counts = None
 
-                def tree_chunks():
-                    for i, (binned, y) in enumerate(chunks()):
-                        targets = self._targets(y)
-                        if counts is None:
-                            yield binned, targets, None
-                        else:
-                            # Rows never drawn by this tree's bootstrap
-                            # drop out, as they do in-memory; drawn rows
-                            # carry their draw count as the weight.
-                            w = counts[offsets[i]:offsets[i + 1]]
-                            keep = w > 0.0
-                            wk = w[keep][:, None]
-                            yield (np.asarray(binned)[keep],
-                                   targets[keep] * wk,
-                                   wk * np.ones((1, targets.shape[1])))
+        def coded():
+            return ((np.asarray(b), self._targets(y)) for b, y in chunks())
 
-                self._trees.append(HistogramTree(params).fit_binned_chunks(
-                    tree_chunks, rng=rng, n_bins=binner.n_bins_))
+        if not out_of_core:  # in memory: map the targets once
+            coded = partial(iter, list(coded()))
+        params = self._params()
+        self._trees = []
+        for seed in spawn_seeds(self.random_state, self.n_estimators):
+            rng = np.random.default_rng(seed)
+            counts = (np.bincount(rng.integers(0, n, size=n), minlength=n)
+                      if self.bootstrap else None)
+
+            def tree_chunks():
+                for c, (binned, targets) in enumerate(coded()):
+                    if counts is not None:
+                        reps = counts[offsets[c]:offsets[c + 1]]
+                        binned = np.repeat(binned, reps, axis=0)
+                        targets = np.repeat(targets, reps, axis=0)
+                    yield binned, targets, None
+
+            stream = (tree_chunks if out_of_core
+                      else partial(iter, list(tree_chunks())))
+            self._trees.append(HistogramTree(params).fit_binned_chunks(
+                stream, rng=rng, n_bins=binner.n_bins_))
         self.fit_telemetry_ = {
             "model": self._MODEL_TAG,
             "fit_wall_s": time.perf_counter() - t_start,

@@ -29,12 +29,12 @@ the train loss.  The driver owns the rest: the round loop, the in-bag
 mask (one ``rng.random(n)`` draw per round, sliced per chunk), replaying
 existing trees for warm starts, the ``gbdt.*`` metrics and
 ``fit_telemetry_``.  Trees grow through
-:meth:`~repro.ml.tree.HistogramTree.fit_binned_chunks`, which sends a
-single chunk to the exact in-memory engine, so ``fit`` and a one-chunk
-``fit_binned_stream`` are one computation; longer streams grow level by
-level and match to summation order (docs/colstore.md).  ``subsample <
-1`` is in-memory only, and so is the quantile family, whose leaf refit
-needs every in-bag residual of a leaf at once.
+:meth:`~repro.ml.tree.HistogramTree.fit_binned_chunks`, the one tree
+grower, so ``fit`` and a one-chunk ``fit_binned_stream`` are one
+computation, and a longer stream grows what the same chunks grow in
+memory, bit for bit (docs/colstore.md).  ``subsample < 1`` is
+in-memory only, and so is the quantile family, whose leaf refit needs
+every in-bag residual of a leaf at once.
 
 Prediction scores every tree in one traversal of the whole ensemble
 (:func:`repro.ml.tree._ensemble_sums`): the loss object's ``table``
@@ -402,8 +402,13 @@ class _GBDTBase:
             round_t0 = time.perf_counter() if obs_on else 0.0
             inbag = (self._rng.random(n) < self.subsample
                      if self.subsample < 1.0 else None)
+            # A caller's stream recomputes gradients on every pass (a
+            # float per row of driver state); in-memory rows keep them
+            # for the round.
+            grads = (partial(grad_chunks, inbag) if out_of_core
+                     else partial(iter, list(grad_chunks(inbag))))
             tree = HistogramTree(params).fit_binned_chunks(
-                partial(grad_chunks, inbag), rng=self._rng, n_bins=n_bins)
+                grads, rng=self._rng, n_bins=n_bins)
             loss.refit(tree, rows(inbag))
             self._trees.append(tree)
             i = len(self._trees) - 1
@@ -475,9 +480,9 @@ class GBDTRegressor(_GBDTBase):
         state is one float64 prediction per row (~8 bytes); gradients
         are recomputed per chunk as ``y_chunk - pred_chunk``, so no
         gathered matrix ever exists.  A single-chunk stream reproduces
-        :meth:`fit` bit for bit; multi-chunk matches it to summation
-        order (docs/colstore.md).  ``subsample < 1`` needs row gathers
-        and is not supported out of core.
+        :meth:`fit` bit for bit, and any stream grows the trees its
+        chunks grow in memory (docs/colstore.md).  ``subsample < 1``
+        needs row gathers and is not supported out of core.
         """
         return self._drive(self.n_estimators, chunks, binner,
                            out_of_core=True)

@@ -19,21 +19,19 @@ A single tree is its one-tree case; :func:`_ensemble_sums` concatenates
 an ensemble's node arrays on every call and accumulates the trees'
 outputs in tree order, bit for bit as a per-tree loop would.
 
-Growth runs through an iterative, frontier-based engine
-(:class:`_TreeGrower`) with the four classic histogram-GBDT
-optimizations -- one-shot all-feature offset-bincount histograms, the
-histogram-subtraction trick, in-place stable row partitioning, and a
-fully vectorized split search (docs/performance.md).  The original
-recursive grower survives as :meth:`HistogramTree.fit_reference`
-(mirroring the ``predict_binned_slow`` pattern) and the engine produces
-bit-identical trees: same node order, splits, values, gains and
-``feature_gain_``.
+Growth has one grower (:class:`_Grower`): level-order growth over a
+re-iterable ``(binned, grad, hess)`` chunk stream, with offset-bincount
+histograms, histogram subtraction and a vectorized split search
+(docs/performance.md).  In-memory data is its one-chunk case, and every
+chunk geometry grows, bit for bit, the tree the reference grower
+:meth:`HistogramTree._grow_reference` grows on the same chunks.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import time
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,33 +186,44 @@ class _Node:
 
 
 def _split_scores(hist: np.ndarray, G: np.ndarray, H: np.ndarray,
-                  n_node: int, lam: float, msl: int) -> np.ndarray:
+                  n_node: int, lam: float, msl: int,
+                  unit: bool = False) -> np.ndarray:
     """Scores for every (feature, bin) candidate of a node's histogram.
 
     One cumulative-sum pass over the histogram planes, then the split
     objective evaluated on the whole ``(n_features, B-1)`` grid at once;
     invalid candidates (min_samples_leaf) are -inf.  On a direct-built
     histogram every cell of the result is bit-identical to the
-    reference grower's per-feature scores.
+    reference grower's per-feature scores.  ``unit``: the hess planes
+    equal the count plane, whose running sum is then reused.
     """
     B, k = hist.shape[1], (hist.shape[2] - 1) // 2
-    GL = np.cumsum(hist[:, :, :k], axis=1)[:, : B - 1, :]
-    HL = np.cumsum(hist[:, :, k:2 * k], axis=1)[:, : B - 1, :]
-    NL = np.cumsum(hist[:, :, 2 * k], axis=1)[:, : B - 1]
-    GR = G[None, None, :] - GL
-    HR = H[None, None, :] - HL
+    cut = hist[:, : B - 1]
+    NL = np.cumsum(cut[:, :, 2 * k], axis=1)
     NR = n_node - NL
     valid = (NL >= msl) & (NR >= msl)
-    score = ((GL * GL / (HL + lam)).sum(axis=2)
-             + (GR * GR / (HR + lam)).sum(axis=2))
+    if k == 1:  # one output: the sums over outputs are the terms
+        GL = np.cumsum(cut[:, :, 0], axis=1)
+        HL = NL if unit else np.cumsum(cut[:, :, 1], axis=1)
+        GR, HR = G[0] - GL, H[0] - HL
+        score = GL * GL / (HL + lam) + GR * GR / (HR + lam)
+    else:
+        GL = np.cumsum(cut[:, :, :k], axis=1)
+        HL = (NL[:, :, None] if unit
+              else np.cumsum(cut[:, :, k:2 * k], axis=1))
+        GR, HR = G - GL, H - HL
+        score = ((GL * GL / (HL + lam)).sum(axis=2)
+                 + (GR * GR / (HR + lam)).sum(axis=2))
     score[~valid] = -np.inf
     return score
 
 
 def _best_direct_split(score: np.ndarray, base: float):
     """Winning (feature-position, bin, gain) on a direct-built
-    histogram's scores, or None: per-feature argmax, then the first
-    occurrence of the max gain (see :meth:`_TreeGrower._select`)."""
+    histogram's scores, or None: per-feature bin by raw-score argmax,
+    then features compared on ``gain = score - base`` with first-wins
+    ties -- gain space, since scores one ulp apart can round to equal
+    gains."""
     if score.size == 0:
         return None
     b_f = np.argmax(score, axis=1)  # first occurrence per feature
@@ -227,46 +236,59 @@ def _best_direct_split(score: np.ndarray, base: float):
     return f_pos, int(b_f[f_pos]), gain
 
 
-class _TreeGrower:
-    """Iterative frontier-based growth engine for :class:`HistogramTree`.
+def _outputs(a) -> np.ndarray:
+    """``(n,)`` or ``(n, k)`` floats as a C-contiguous ``(n, k)`` array."""
+    return np.ascontiguousarray(np.atleast_2d(np.asarray(a, dtype=float).T).T)
 
-    Equivalent to the recursive reference grower
-    (:meth:`HistogramTree.fit_reference`) node for node and bit for bit,
-    but structured around four histogram-GBDT optimizations:
 
-    1. **One-shot histogram construction**: per node, a single set of
-       ``np.bincount`` calls over ``codes + per-feature bin offsets``
-       builds every feature's grad/hess/count histogram at once, instead
-       of a Python loop of ``n_features x n_outputs`` bincounts.
-    2. **Histogram subtraction**: only the smaller child's histogram is
-       built from rows; the larger child's is derived as
-       ``parent - sibling``.  Parent histograms ride the frontier and
-       are dropped as soon as both children own theirs.
-    3. **In-place stable partition**: one shared set of row-major
-       arrays (codes, grad, hess) is reordered in place at each split,
-       so a node's rows are a contiguous slice -- no per-node
-       ``binned[idx]`` row gathers.
-    4. **Vectorized split search**: scores for every (feature, bin)
-       candidate live in one 2-D array; a single argmax replaces the
-       per-feature Python loop while reproducing its tie-breaking
-       (first feature in sampled order, then lowest bin) exactly.
+class _Open:
+    """A node of the level being grown: its rows, sums and histogram."""
 
-    Bit-identity with the reference is preserved by keeping every float
-    that lands in the tree on the reference's exact computation path.
-    Node G/H come from contiguous slice sums over rows in original
-    order (stable partition).  Direct-built histograms accumulate
-    per-cell in ascending row order, so their split scores equal the
-    reference's bit for bit; selection then mirrors the reference's
-    control flow -- per-feature bin by raw-score argmax, features
-    compared on ``gain = score - base`` with first-wins ties (gain
-    space matters: scores one ulp apart can round to equal gains).  A
-    *derived* (parent - sibling) histogram carries ulp-level rounding
-    noise, so its scores only nominate a near-tie band (everything
-    within ``BAND_REL`` of the max -- orders of magnitude wider than
-    the noise, so the reference's winner is always inside); every
-    feature in the band is then re-scored with an exact single-feature
-    pass and the same gain-space scan picks the winner.  Stored gains
-    always come from the exact path.
+    __slots__ = ("nid", "rows", "m", "need", "build", "derived", "feats",
+                 "G", "H", "hist", "base", "band", "split")
+
+    def __init__(self, nid: int, need: bool = False):
+        self.nid = nid
+        #: Per chunk, ascending int32 row indices (None: the root's all).
+        self.rows: list | None = None if nid == 0 else []
+        self.m = 0
+        self.need = need  # splittable: below the depth limit, >= 2 msl rows
+        self.build = need  # histogram built from rows in the level's pass
+        self.derived = False  # histogram is parent minus smaller sibling
+        self.feats = None  # drawn max_features subset (None: all)
+        self.G = self.H = self.hist = self.band = self.split = None
+        self.base = 0.0
+
+
+class _Grower:
+    """The tree grower: level-order growth over a chunk stream.
+
+    ``chunks`` is a zero-arg callable returning a fresh iterator over
+    the same ``(binned, grad, hess)`` chunks on every call
+    (``hess=None``: unit hessians); in-memory data is its one-chunk
+    case.  Each level reads the stream once (pass A: partition the
+    parents' rows, gather sums and histograms) and, when a derived
+    histogram needs exact re-scoring, once more (pass B).  A node keeps,
+    per chunk, its ascending int32 row indices -- ~4 bytes per row, never
+    the gathered matrix -- and is finished as soon as its last chunk is
+    read, so only histograms a subtraction still needs outlive it.
+
+    Every float that lands in the tree follows the arithmetic
+    :meth:`HistogramTree._grow_reference` spells out, at any chunk
+    geometry: node G/H are ``grad[rows].sum(axis=0)`` per chunk and
+    histograms offset bincounts per chunk (each cell summing its rows in
+    ascending order), both added in chunk order; ``max_features`` subsets
+    are drawn per splittable node in level order.  Split search scores
+    every (feature, bin) candidate at once (:func:`_split_scores`,
+    :func:`_best_direct_split`).  When a split's larger child will split
+    again and holds >= ``SUBTRACT_MIN_ROWS`` rows, only the smaller
+    child's histogram is built and the larger is ``parent - sibling``,
+    made in the parent's buffer.  That carries ulp-level noise, so its
+    scores only nominate a near-tie band (within ``BAND_REL`` of the
+    max, orders of magnitude wider than the noise); pass B re-scores
+    every band feature from a direct single-feature histogram, and the
+    winner and its stored gain come from those.  Nodes are renumbered to
+    pre-order at the end and ``feature_gain_`` accumulated in pre-order.
     """
 
     #: Children smaller than this build their histograms directly:
@@ -279,499 +301,319 @@ class _TreeGrower:
     #: O(depth * 2^-52) relative, ~1e5 times smaller.
     BAND_REL = 1e-8
 
-    def __init__(self, tree: "HistogramTree", binned, grad, hess, rng,
-                 n_bins=None):
+    _CHANGED = ("chunk stream changed shape between passes; "
+                "fit_binned_chunks needs a stable re-iterable stream")
+
+    def __init__(self, tree: "HistogramTree", chunks, rng, n_bins=None):
         self.tree = tree
+        self.chunks = chunks
+        self.rng = rng
         p = tree.params
-        self.k = tree.n_outputs
-        # Own row-major copies: the engine reorders these in place.
-        self.C = np.array(binned, order="C")
-        self.G = np.array(grad, dtype=float, order="C")
-        self.H = np.array(hess, dtype=float, order="C")
-        self.n, self.d = self.C.shape
-        if n_bins is not None and len(np.asarray(n_bins)):
-            B = int(np.max(n_bins))
-        else:
-            B = int(self.C.max()) + 1 if self.n else 1
-        #: Uniform per-feature bin stride; candidate bins beyond a
-        #: feature's real range are empty and min_samples_leaf-invalid,
-        #: so they can never win.  Floor of 2 keeps (B-1)-wide candidate
-        #: grids non-degenerate when every feature is constant.
-        self.B = max(B, 2)
+        self.limit = p.depth_limit
         self.lam = max(p.reg_lambda, 1e-12)
         self.msl = p.min_samples_leaf
-        self.rng = rng
-        self.k_feat = tree._n_split_features(self.d)
-        self.full = self.k_feat == self.d
-        #: hess == 1 everywhere (regression trees, forests, quantile
-        #: boosting): the hessian histogram equals the count histogram
-        #: bit for bit (a bincount of ones is the count), so skip
-        #: building it.
-        self.unit_hess = bool(self.n == 0 or (self.H == 1.0).all())
-        # Scratch buffers reused by every histogram build (flat codes
-        # and repeated per-output weights), sliced per node.
-        width = self.d if self.full else self.k_feat
-        self._offsets = np.arange(width, dtype=np.intp) * self.B
-        self._fbuf = np.empty((self.n, width), dtype=np.intp)
-        self._wbuf = np.empty(self.n * width)
+        #: Uniform per-feature bin stride: bins past a feature's range
+        #: are empty, so never valid; >= 2 keeps candidate grids non-empty.
+        self.B = (max(int(np.max(n_bins)), 2)
+                  if n_bins is not None and len(np.asarray(n_bins))
+                  else MAX_BINS)
+        self.lens: list[int] | None = None  # rows per chunk, from pass 1
+        self.unit = True  # every chunk's hessians are 1: hess plane = count
+        self.nodes = [_Node()]
 
-    # -- histogram construction -------------------------------------------- #
+    def _setup(self, d: int, k: int) -> None:
+        self.d, self.k = d, k
+        self.k_feat = self.tree._n_split_features(d)
+        self.full = self.k_feat == d
+        self._offsets = np.arange(d, dtype=np.intp) * self.B
+        # Scratch reused by every histogram build (flat codes and
+        # repeated per-output weights), grown to the largest node chunk.
+        self._fbuf = np.empty(0, dtype=np.intp)
+        self._wbuf = np.empty(0)
 
-    def _build_hist(self, s: int, e: int, features) -> np.ndarray:
-        """All-feature histogram for rows [s, e): shape (nf, B, 2k+1).
+    # -- the stream ---------------------------------------------------------- #
+
+    def _stream(self):
+        """One pass: ``(chunk index, binned, grad, hess)``, shapes checked."""
+        first = self.lens is None
+        if first:
+            self.lens = []
+        seen = 0
+        for ci, (binned, grad, hess) in enumerate(self.chunks()):
+            binned = np.asarray(binned)
+            grad = _outputs(grad)
+            hess = None if hess is None else _outputs(hess)
+            m = len(binned)
+            if len(grad) != m or (hess is not None
+                                  and hess.shape != grad.shape):
+                raise ValueError("grad/hess/binned shape mismatch")
+            if first:
+                if ci == 0:
+                    self._setup(binned.shape[1], grad.shape[1])
+                self.lens.append(m)
+                self.unit = self.unit and hess is None
+            elif ci >= len(self.lens) or m != self.lens[ci]:
+                raise ValueError(self._CHANGED)
+            seen = ci + 1
+            yield ci, binned, grad, hess
+        if first and not seen:
+            raise ValueError("empty chunk stream")
+        if seen != len(self.lens):
+            raise ValueError(self._CHANGED)
+        obs.inc("tree.stream_passes_total")
+
+    def _gather(self, binned, grad, hess, r, feats, codes: bool):
+        """Rows ``r`` of one chunk (None: every row) as ``(codes, grad,
+        hess)``; codes, over ``feats``, only if asked."""
+        if r is None:
+            c = binned if feats is None else binned[:, feats]
+            return c if codes else None, grad, hess
+        # np.take: the same rows as fancy indexing, ~3x faster.
+        c = np.take(binned, r, axis=0) if codes else None
+        if codes and feats is not None:
+            c = c[:, feats]
+        return (c, np.take(grad, r, axis=0),
+                None if hess is None else np.take(hess, r, axis=0))
+
+    def _hist(self, codes, g, h) -> np.ndarray:
+        """All-feature histogram of one node chunk: ``(nf, B, 2k+1)``.
 
         Planes ``[..., :k]`` hold grad sums, ``[..., k:2k]`` hess sums,
-        ``[..., 2k]`` counts (exact integers in float64, so histogram
-        subtraction never loses a row).  Per-cell accumulation order is
-        ascending row order -- identical to the reference grower's
-        per-feature bincounts.
+        ``[..., 2k]`` counts (exact integers in float64, so subtraction
+        never loses a row).  Each cell sums its rows in ascending order.
         """
-        m = e - s
+        m, nf = codes.shape
         k, B = self.k, self.B
-        if features is None:
-            codes, nf = self.C[s:e], self.d
-        else:
-            codes, nf = self.C[s:e][:, features], len(features)
-        flat = self._fbuf[:m]  # (m, nf): nf always equals the buffer width
-        np.add(codes, self._offsets, out=flat, casting="unsafe")
-        fr = flat.ravel()
-        total = nf * B
-        hist = np.zeros((nf, B, 2 * k + 1))
-        cnt = np.bincount(fr, minlength=total).reshape(nf, B)
+        size = m * nf
+        if self._fbuf.size < size:
+            self._fbuf = np.empty(size, dtype=np.intp)
+            self._wbuf = np.empty(size)
+        flat = self._fbuf[:size].reshape(m, nf)
+        np.add(codes, self._offsets[:nf], out=flat, casting="unsafe")
+        fr, w = self._fbuf[:size], self._wbuf[:size]
+        hist = np.empty((nf, B, 2 * k + 1))
+        cnt = np.bincount(fr, minlength=nf * B).reshape(nf, B)
         hist[:, :, 2 * k] = cnt
-        wview = self._wbuf[: m * nf].reshape(m, nf)
-        for j in range(k):
-            wview[:] = self.G[s:e, j, None]
-            hist[:, :, j] = np.bincount(
-                fr, weights=wview.ravel(), minlength=total
-            ).reshape(nf, B)
-        if self.unit_hess:
+        for j, src in enumerate([g] if h is None else [g, h]):
+            for i in range(k):
+                w.reshape(m, nf)[:] = src[:, i, None]
+                hist[:, :, j * k + i] = np.bincount(
+                    fr, weights=w, minlength=nf * B).reshape(nf, B)
+        if h is None:
             hist[:, :, k:2 * k] = cnt[:, :, None]
-        else:
-            for j in range(k):
-                wview[:] = self.H[s:e, j, None]
-                hist[:, :, j + k] = np.bincount(
-                    fr, weights=wview.ravel(), minlength=total
-                ).reshape(nf, B)
         obs.inc("tree.hist_built_total")
         return hist
 
-    # -- exact single-feature score (reference arithmetic) ------------------ #
+    # -- one level ----------------------------------------------------------- #
 
-    def _exact_scores_1f(self, s: int, e: int, f: int,
-                         G: np.ndarray, H: np.ndarray) -> np.ndarray:
-        """Per-bin scores for one feature on the reference grower's exact
-        float path (direct single-feature histogram + cumsum, -inf at
-        min_samples_leaf-invalid bins), so derived-histogram rounding
-        never reaches stored gains or tie-breaking."""
-        k = self.k
-        codes = self.C[s:e, f]
-        nb = int(codes.max()) + 1
-        hist = np.empty((1, nb, 2 * k + 1))
-        hist[0, :, 2 * k] = np.bincount(codes, minlength=nb)
-        for j in range(k):
-            hist[0, :, j] = np.bincount(codes, weights=self.G[s:e, j],
-                                        minlength=nb)
-            hist[0, :, k + j] = np.bincount(codes, weights=self.H[s:e, j],
-                                            minlength=nb)
-        return _split_scores(hist, G, H, e - s, self.lam, self.msl)[0]
-
-    def _select(self, score: np.ndarray, derived: bool, s: int, e: int,
-                features, G: np.ndarray, H: np.ndarray, base: float):
-        """Winning (feature-position, bin, gain) or None.
-
-        The reference picks each feature's bin by raw-score argmax but
-        compares *features* on ``gain = score[bin] - base`` with strict
-        ``>`` -- and two scores one ulp apart can round to the same
-        gain, so tie-breaking must happen in gain space, not score
-        space.  Direct histograms: :func:`_best_direct_split`.  Derived
-        histograms: exact re-scoring of every feature in the near-tie
-        band (see class docstring), same first-wins scan over exact
-        gains.
-        """
-        if not derived:
-            return _best_direct_split(score, base)
-        if score.size == 0:
-            return None
-        smax = float(score.max())
-        if not np.isfinite(smax):
-            return None
-        delta = self.BAND_REL * (abs(smax) + 1.0)
-        in_band = (score >= smax - delta).any(axis=1)
-        best = None
-        best_gain = -np.inf
-        for f_pos in np.flatnonzero(in_band):  # ascending sample order
-            f_pos = int(f_pos)
-            f = f_pos if features is None else int(features[f_pos])
-            exact = self._exact_scores_1f(s, e, f, G, H)
-            if exact.size == 0:
-                continue
-            b = int(np.argmax(exact))
-            gain = float(exact[b]) - base
-            if np.isfinite(gain) and gain > best_gain:
-                best = (f_pos, b)
-                best_gain = gain
-        if best is None:
-            return None
-        return best[0], best[1], best_gain
-
-    # -- partition ---------------------------------------------------------- #
-
-    def _partition(self, s: int, e: int, f: int, b: int) -> int:
-        """Stable in-place partition of rows [s, e) on code <= b.
-
-        Left-going rows keep their relative (original) order, as do
-        right-going rows, so every node's slice stays in the exact row
-        order the reference grower's ``idx[mask]`` chain would produce.
-        """
-        mask = self.C[s:e, f] <= b
-        nl = int(np.count_nonzero(mask))
-        if nl == 0 or nl == e - s:
-            return nl
-        perm = np.concatenate([np.flatnonzero(mask), np.flatnonzero(~mask)])
-        self.C[s:e] = self.C[s:e][perm]
-        self.G[s:e] = self.G[s:e][perm]
-        self.H[s:e] = self.H[s:e][perm]
-        return nl
-
-    # -- main loop ---------------------------------------------------------- #
-
-    def run(self) -> None:
-        tree, p = self.tree, self.tree.params
-        nodes: list[_Node] = []
-        obs_on = obs.enabled()
-        # Frontier entries:
-        # (start, end, depth, hist, derived, parent_id, is_right).
-        # LIFO with right pushed first reproduces the reference's
-        # pre-order: parent, full left subtree, then right subtree --
-        # node ids, rng draws and feature_gain_ accumulation all land in
-        # the reference's order.
-        stack = [(0, self.n, 0, None, False, -1, False)]
-        while stack:
-            s, e, depth, hist, derived, parent, is_right = stack.pop()
-            t0 = time.perf_counter() if obs_on else 0.0
-            nid = len(nodes)
-            if parent >= 0:
-                if is_right:
-                    nodes[parent].right = nid
-                else:
-                    nodes[parent].left = nid
-            m = e - s
-            G = self.G[s:e].sum(axis=0)
-            H = self.H[s:e].sum(axis=0)
-            node = _Node(value=tree._leaf_value(G, H), n_samples=m)
-            nodes.append(node)
-            if depth >= p.depth_limit or m < 2 * p.min_samples_leaf:
-                continue
-            features = (None if self.full
-                        else self.rng.choice(self.d, size=self.k_feat,
-                                             replace=False))
-            if hist is None:
-                hist = self._build_hist(s, e, features)
-                derived = False
-            base = float(np.sum(G * G / (H + self.lam)))
-            score = _split_scores(hist, G, H, m, self.lam, self.msl)
-            sel = self._select(score, derived, s, e, features, G, H, base)
-            if sel is None:
-                continue
-            f_pos, b, gain = sel
-            f = f_pos if features is None else int(features[f_pos])
-            if gain <= 0.0 or gain <= p.min_gain:
-                continue
-            nl = self._partition(s, e, f, b)
-            node.feature = f
-            node.threshold_bin = int(b)
-            node.gain = gain
-            tree.feature_gain_[f] += gain
-            cdepth = depth + 1
-            nr = m - nl
-            lhist = rhist = None
-            lder = rder = False
-            if self.full:
-                lneed = cdepth < p.depth_limit and nl >= 2 * p.min_samples_leaf
-                rneed = cdepth < p.depth_limit and nr >= 2 * p.min_samples_leaf
-                small_is_left = nl <= nr
-                other_need = rneed if small_is_left else lneed
-                other_size = nr if small_is_left else nl
-                # Subtraction pays off only for a large derived child:
-                # small ones are cheap to histogram directly and skip
-                # the exact re-scoring band entirely.
-                if other_need and other_size >= self.SUBTRACT_MIN_ROWS:
-                    # Build the smaller child's histogram from its rows;
-                    # its sibling is parent - sibling for free.
-                    if small_is_left:
-                        shist = self._build_hist(s, s + nl, None)
-                    else:
-                        shist = self._build_hist(s + nl, e, None)
-                    ohist = hist - shist
-                    obs.inc("tree.hist_subtracted_total")
-                    small_need = lneed if small_is_left else rneed
-                    if small_is_left:
-                        lhist = shist if small_need else None
-                        rhist, rder = ohist, True
-                    else:
-                        rhist = shist if small_need else None
-                        lhist, lder = ohist, True
-            stack.append((s + nl, e, cdepth, rhist, rder, nid, True))
-            stack.append((s, s + nl, cdepth, lhist, lder, nid, False))
-            if obs_on:
-                obs.observe("tree.node_grow_s", time.perf_counter() - t0)
-        tree._set_nodes(nodes)
-
-
-def _preorder_renumber(nodes: list[_Node]) -> list[_Node]:
-    """Reorder a level-order node list into the engine's pre-order.
-
-    The streaming grower creates nodes breadth-first; renumbering to
-    pre-order (parent, full left subtree, right subtree) keeps
-    serialized trees, node-id goldens and ``apply`` leaf ids on the same
-    layout the in-memory engine produces.
-    """
-    if not nodes:
-        return nodes
-    order: list[int] = []
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        node = nodes[i]
-        if not node.is_leaf:
-            stack.append(node.right)
-            stack.append(node.left)
-    remap = np.full(len(nodes), -1, dtype=np.int64)
-    for new, old in enumerate(order):
-        remap[old] = new
-    out = []
-    for old in order:
-        node = nodes[old]
-        if not node.is_leaf:
-            node.left = int(remap[node.left])
-            node.right = int(remap[node.right])
-        out.append(node)
-    return out
-
-
-class _StreamingTreeGrower:
-    """Level-order growth engine reading ``(binned, grad, hess)`` chunks.
-
-    The out-of-core counterpart of :class:`_TreeGrower`: instead of
-    owning row-major arrays it re-reads a chunk stream once per tree
-    level.  Each pass advances every row's *slot* (the node it currently
-    sits in, an int32 per row -- the only per-row state kept across
-    passes) by applying the splits chosen at the previous level, then
-    accumulates one combined histogram for the whole frontier with a
-    single bincount per output plane over the key
-    ``slot * (d * B) + feature * B + code``.  Frontiers wider than
-    ``CELL_BUDGET`` histogram cells are swept in batches (extra passes,
-    same bounded memory).
-
-    Every histogram here is built directly from rows, so split search
-    is the engine's direct-histogram path itself: :func:`_split_scores`
-    then :func:`_best_direct_split`.
-
-    Every tree the repo grows from more than one chunk comes through
-    here: the boosting driver behind all GBDT entry points
-    (``repro.ml.gbdt``) and the forests' ``fit_binned_stream`` hand
-    their streams to :meth:`HistogramTree.fit_binned_chunks`, which
-    routes a single-chunk stream -- in-memory data included -- to the
-    exact engine and anything longer to this class.  Two gaps to the
-    engine remain open:
-
-    * node G/H/count come from the histogram planes (feature 0's bins)
-      and histograms accumulate chunk-partially, so values match the
-      engine to summation-order (ulp-level) noise -- the seeded
-      equivalence tests bound it.
-    * with ``max_features`` set, feature subsets draw per node in level
-      order (root, then children left to right), not the engine's
-      pre-order -- deterministic for a seed, but a different tree.
-
-    After growth, nodes are renumbered to pre-order and
-    ``feature_gain_`` is re-accumulated in that order, so downstream
-    consumers see the engine's layout.
-    """
-
-    #: Max histogram cells (nodes x features x bins x planes) per sweep.
-    CELL_BUDGET = 1 << 24
-
-    def __init__(self, tree: "HistogramTree", chunks, d: int, rng,
-                 n_bins=None):
-        self.tree = tree
-        self.chunks = chunks  # zero-arg callable -> fresh chunk iterator
-        self.d = d
-        self.rng = rng
-        self.k = tree.n_outputs
-        p = tree.params
-        if n_bins is not None and len(np.asarray(n_bins)):
-            self.B = max(int(np.max(n_bins)), 2)
-        else:
-            self.B = MAX_BINS  # codes are uint8; extra bins never win
-        self.lam = max(p.reg_lambda, 1e-12)
-        self.msl = p.min_samples_leaf
-        self.k_feat = tree._n_split_features(d)
-        self.full = self.k_feat == self.d
-        self._offsets = np.arange(d, dtype=np.intp) * self.B
-        #: Per-chunk int32 node-id per row (~4 bytes/row of driver state).
-        self.slots: list[np.ndarray] = []
-        #: Growth scratch, in level order until :meth:`run` finishes.
-        self.nodes: list[_Node] = []
-
-    # -- one stream pass ----------------------------------------------------- #
-
-    def _sweep(self, batch: list[int], advance: bool) -> np.ndarray:
-        """Histogram rows [all chunks] sitting in ``batch`` nodes.
-
-        ``advance`` applies the previous level's splits to every row's
-        slot first (done exactly once per level, on its first batch).
-        Returns shape ``(len(batch), d, B, 2k+1)``; planes as in
-        :meth:`_TreeGrower._build_hist`, accumulated in chunk order.
-        """
-        k, B, d = self.k, self.B, self.d
-        nodes = self.nodes
-        feat = np.asarray([n.feature for n in nodes], dtype=np.int64)
-        thr = np.asarray([n.threshold_bin for n in nodes], dtype=np.int64)
-        left = np.asarray([n.left for n in nodes], dtype=np.int64)
-        right = np.asarray([n.right for n in nodes], dtype=np.int64)
-        slot_of = np.full(len(nodes), -1, dtype=np.int64)
-        for i, nid in enumerate(batch):
-            slot_of[nid] = i
-        S = len(batch)
-        total = S * d * B
-        hist = np.zeros((S, d, B, 2 * k + 1))
-        first_pass = not self.slots
-        for ci, (binned, grad, hess) in enumerate(self.chunks()):
-            binned = np.asarray(binned)
-            grad = np.atleast_2d(np.asarray(grad, dtype=float).T).T
-            m = len(binned)
-            if first_pass:
-                self.slots.append(np.zeros(m, dtype=np.int32))
-            elif ci >= len(self.slots) or len(self.slots[ci]) != m:
-                raise ValueError(
-                    "chunk stream changed shape between passes; "
-                    "fit_binned_chunks needs a stable re-iterable stream"
-                )
-            ids = self.slots[ci]
-            if advance and not first_pass:
-                act = np.flatnonzero(np.take(feat, ids) >= 0)
-                if act.size:
-                    nid = ids[act]
-                    f = np.take(feat, nid)
-                    goes = binned[act, f] <= np.take(thr, nid)
-                    ids[act] = np.where(
-                        goes, np.take(left, nid), np.take(right, nid)
-                    ).astype(np.int32)
-            rows = np.flatnonzero(np.take(slot_of, ids) >= 0)
-            if rows.size == 0:
-                continue
-            slot_r = slot_of[ids[rows]]
-            keys = binned[rows].astype(np.intp)
-            keys += self._offsets
-            keys += (slot_r * (d * B))[:, None]
-            fr = keys.ravel()
-            cnt = np.bincount(fr, minlength=total).reshape(S, d, B)
-            hist[:, :, :, 2 * k] += cnt
-            wbuf = np.empty((rows.size, d))
-            for j in range(k):
-                wbuf[:] = grad[rows, j, None]
-                hist[:, :, :, j] += np.bincount(
-                    fr, weights=wbuf.ravel(), minlength=total
-                ).reshape(S, d, B)
-            if hess is None:
-                for j in range(k):
-                    hist[:, :, :, k + j] += cnt
+    def _add(self, o: _Open, ci: int, binned, grad, hess) -> None:
+        """Add chunk ``ci``'s share of ``o``'s sums and histogram."""
+        r = None if o.rows is None else o.rows[ci]
+        if (len(binned) if r is None else len(r)) == 0:
+            return
+        codes, g, h = self._gather(binned, grad, hess, r, o.feats, o.build)
+        G = g.sum(axis=0)
+        # Unit hessians sum to the row count, exactly.
+        H = float(len(g)) if h is None else h.sum(axis=0)
+        o.m += len(g)
+        o.G = G if o.G is None else o.G + G
+        o.H = H if o.H is None else o.H + H
+        if o.build:
+            hist = self._hist(codes, g, h)
+            if o.hist is None:
+                o.hist = hist
             else:
-                hess = np.atleast_2d(np.asarray(hess, dtype=float).T).T
-                for j in range(k):
-                    wbuf[:] = hess[rows, j, None]
-                    hist[:, :, :, k + j] += np.bincount(
-                        fr, weights=wbuf.ravel(), minlength=total
-                    ).reshape(S, d, B)
-        obs.inc("tree.stream_sweeps_total")
-        return hist
+                o.hist += hist
 
-    # -- main loop ----------------------------------------------------------- #
+    def _partition(self, par: _Open, kids, ci: int, binned) -> None:
+        """Send ``par``'s rows of chunk ``ci`` to its two children."""
+        f, b = par.split[:2]
+        left, right = kids
+        r = None if par.rows is None else par.rows[ci]
+        if r is None:
+            goes = binned[:, f] <= b
+            left.rows.append(np.flatnonzero(goes).astype(np.int32))
+            right.rows.append(np.flatnonzero(~goes).astype(np.int32))
+        else:
+            goes = binned[r, f] <= b
+            left.rows.append(r[goes])
+            right.rows.append(r[~goes])
+            par.rows[ci] = None  # read once: free as we go
+
+    def _close(self, par: _Open | None, kids, depth: int, pending) -> None:
+        """After a family's last chunk: derive, then finish each child."""
+        if par is not None:
+            par.rows = None
+            small, big = kids if kids[1].derived else kids[::-1]
+            if big.derived:
+                big.hist, par.hist = par.hist, None
+                if small.hist is not None:
+                    big.hist -= small.hist
+                obs.inc("tree.hist_subtracted_total")
+                if not small.need:
+                    small.hist = None
+        for o in kids:
+            self._finish(o, depth, pending)
+
+    def _finish(self, o: _Open, depth: int, pending: list) -> None:
+        """Leaf value; then select a split, or queue exact re-scoring."""
+        G = np.zeros(self.k) if o.G is None else o.G
+        H = o.H if isinstance(o.H, np.ndarray) else np.full(self.k, o.H or 0.0)
+        node = self.nodes[o.nid]
+        node.value, node.n_samples = self.tree._leaf_value(G, H), o.m
+        if o.nid == 0:  # the root's size is known only now
+            o.need = depth < self.limit and o.m >= 2 * self.msl
+            if o.need and not self.full:
+                o.feats = self.rng.choice(self.d, size=self.k_feat,
+                                          replace=False)
+                o.hist = o.hist[o.feats]
+        if not o.need:
+            o.hist = o.rows = None
+            return
+        o.G, o.H = G, H
+        if o.hist is None:  # no rows at all (min_samples_leaf=0)
+            nf = self.d if o.feats is None else len(o.feats)
+            o.hist = np.zeros((nf, self.B, 2 * self.k + 1))
+        o.base = float(np.sum(G * G / (H + self.lam)))
+        score = _split_scores(o.hist, G, H, o.m, self.lam, self.msl,
+                              self.unit)
+        if not o.derived:
+            self._decide(o, _best_direct_split(score, o.base))
+            return
+        smax = float(score.max()) if score.size else -np.inf
+        if not np.isfinite(smax):
+            self._decide(o, None)
+            return
+        delta = self.BAND_REL * (abs(smax) + 1.0)
+        o.band = np.flatnonzero((score >= smax - delta).any(axis=1))
+        pending.append(o)
+
+    def _rescore(self, pending: list[_Open]) -> None:
+        """Pass B: exact single-feature scores for every derived node's
+        near-tie band, then the same first-wins scan in gain space."""
+        parts = [[None] * len(o.band) for o in pending]
+        for ci, binned, grad, hess in self._stream():
+            for o, acc in zip(pending, parts):
+                r = None if o.rows is None else o.rows[ci]
+                if (len(binned) if r is None else len(r)) == 0:
+                    continue
+                _, g, h = self._gather(binned, grad, hess, r, None, False)
+                for i, f in enumerate(o.band):
+                    col = binned[:, f] if r is None else binned[r, f]
+                    hist = self._hist(col[:, None], g, h)[0]
+                    if acc[i] is None:
+                        acc[i] = hist
+                    else:
+                        acc[i] += hist
+        for o, acc in zip(pending, parts):
+            best, best_gain = None, -np.inf
+            for f, hist in zip(o.band, acc):  # ascending feature order
+                nb = int(np.flatnonzero(hist[:, 2 * self.k])[-1]) + 1
+                exact = _split_scores(hist[None, :nb], o.G, o.H, o.m,
+                                      self.lam, self.msl, self.unit)[0]
+                if exact.size == 0:
+                    continue
+                b = int(np.argmax(exact))
+                gain = float(exact[b]) - o.base
+                if np.isfinite(gain) and gain > best_gain:
+                    best, best_gain = (int(f), b), gain
+            self._decide(o, None if best is None else (*best, best_gain))
+
+    def _decide(self, o: _Open, sel) -> None:
+        """Record ``o``'s split (or leaf) and plan its children: sizes
+        from the count plane, and whether the larger one is derived --
+        the only case ``o`` keeps its histogram."""
+        p = self.tree.params
+        if sel is not None and not (sel[2] <= 0.0 or sel[2] <= p.min_gain):
+            f_pos, b, gain = sel
+            f = f_pos if o.feats is None else int(o.feats[f_pos])
+            node = self.nodes[o.nid]
+            node.feature, node.threshold_bin, node.gain = f, int(b), gain
+            nl = int(o.hist[f_pos, :b + 1, 2 * self.k].sum())
+            nr = o.m - nl
+            big = nr if nl <= nr else nl  # ties: the left child is small
+            o.split = (f, int(b), nl, nr)
+            if (self.full and self._needs(big)
+                    and big >= self.SUBTRACT_MIN_ROWS):
+                return  # keep the histogram: parent - sibling
+        else:
+            o.rows = None
+        o.hist = None
+
+    def _needs(self, m: int) -> bool:
+        return self._cdepth < self.limit and m >= 2 * self.msl
+
+    def _next_level(self, level: list[_Open]):
+        """The split nodes' children, in level order, as families."""
+        fams = []
+        for o in level:
+            if o.split is None:
+                continue
+            nl, nr = o.split[2:]
+            kids = [_Open(len(self.nodes), self._needs(nl)),
+                    _Open(len(self.nodes) + 1, self._needs(nr))]
+            node = self.nodes[o.nid]
+            node.left, node.right = kids[0].nid, kids[1].nid
+            self.nodes += [_Node(), _Node()]
+            if o.hist is not None:  # subtraction (see _decide)
+                small, big = kids if nl <= nr else kids[::-1]
+                small.build, big.build, big.derived = True, False, True
+            if not self.full:
+                for c in kids:
+                    if c.need:
+                        c.feats = self.rng.choice(self.d, size=self.k_feat,
+                                                  replace=False)
+            fams.append((o, kids))
+        return fams
+
+    def _level(self, fams, depth: int) -> list[_Open]:
+        """Pass A over one level; returns the nodes awaiting pass B."""
+        pending: list[_Open] = []
+        last = None if self.lens is None else len(self.lens) - 1
+        for ci, binned, grad, hess in self._stream():
+            for par, kids in fams:
+                if par is not None:
+                    self._partition(par, kids, ci, binned)
+                for o in kids:
+                    self._add(o, ci, binned, grad, hess)
+                if ci == last:
+                    self._close(par, kids, depth, pending)
+        if last is None:  # the root's pass: the chunk count was unknown
+            self._close(None, fams[0][1], depth, pending)
+        return pending
 
     def run(self) -> None:
-        tree, p = self.tree, self.tree.params
-        nodes = self.nodes
-        k = self.k
-        nodes.append(_Node())
-        frontier: list[int] = [0]
-        depths = {0: 0}
-        cells_per_node = self.d * self.B * (2 * k + 1)
-        per_batch = max(1, self.CELL_BUDGET // cells_per_node)
-        while frontier:
-            new_frontier: list[int] = []
-            for start in range(0, len(frontier), per_batch):
-                batch = frontier[start:start + per_batch]
-                hist = self._sweep(batch, advance=start == 0)
-                for s_idx, nid in enumerate(batch):
-                    h = hist[s_idx]
-                    G = h[0, :, :k].sum(axis=0)
-                    H = h[0, :, k:2 * k].sum(axis=0)
-                    m = int(round(float(h[0, :, 2 * k].sum())))
-                    node = nodes[nid]
-                    node.value = tree._leaf_value(G, H)
-                    node.n_samples = m
-                    depth = depths.pop(nid)
-                    if depth >= p.depth_limit or m < 2 * p.min_samples_leaf:
-                        continue
-                    features = (None if self.full
-                                else self.rng.choice(self.d, size=self.k_feat,
-                                                     replace=False))
-                    hf = h if features is None else h[features]
-                    sel = _best_direct_split(
-                        _split_scores(hf, G, H, m, self.lam, self.msl),
-                        float(np.sum(G * G / (H + self.lam))))
-                    if sel is None:
-                        continue
-                    f_pos, b, gain = sel
-                    f = f_pos if features is None else int(features[f_pos])
-                    if gain <= 0.0 or gain <= p.min_gain:
-                        continue
-                    node.feature = f
-                    node.threshold_bin = int(b)
-                    node.gain = gain
-                    node.left = len(nodes)
-                    nodes.append(_Node())
-                    node.right = len(nodes)
-                    nodes.append(_Node())
-                    depths[node.left] = depths[node.right] = depth + 1
-                    new_frontier.extend((node.left, node.right))
-            frontier = new_frontier
-        nodes = _preorder_renumber(nodes)
-        tree.feature_gain_ = np.zeros(self.d)
-        for node in nodes:
-            if not node.is_leaf:
-                tree.feature_gain_[node.feature] += node.gain
-        tree._set_nodes(nodes)
+        root = _Open(0)
+        # The root's size is unknown until its pass: build, judge after.
+        root.build = self.limit > 0
+        fams, depth = [(None, [root])], 0
+        while fams:
+            self._cdepth = depth + 1  # the children's depth, for _needs
+            pending = self._level(fams, depth)
+            if pending:
+                self._rescore(pending)
+            fams = self._next_level([o for _, kids in fams for o in kids])
+            depth += 1
+        self.tree.n_outputs = self.k
+        self.tree._set_level_order(self.nodes, self.d)
 
 
 class HistogramTree:
     """One grown tree over pre-binned features.
 
-    Growth uses the iterative frontier engine (:class:`_TreeGrower`:
-    offset-bincount histograms, histogram subtraction, in-place stable
-    partition, vectorized split search); the original recursive grower
-    survives as :meth:`fit_reference` because it is the ground truth the
-    growth-equivalence property tests (and ``benchmarks/
-    bench_gbdt_fit.py``) compare against, exactly as
-    :meth:`predict_binned_slow` anchors the vectorized traversal.
+    Growth runs through :class:`_Grower`; the reference grower survives
+    as :meth:`_grow_reference` (and :meth:`fit_reference`, its one-chunk
+    entry) because it is the ground truth the growth-equivalence
+    property tests (and ``benchmarks/bench_gbdt_fit.py``) compare
+    against, exactly as :meth:`predict_binned_slow` anchors the
+    vectorized traversal.
 
     A grown tree is a set of flat node arrays indexed by node id (root
     0, pre-order): ``feature`` (-1 at leaves), ``threshold_bin``,
     ``left``, ``right``, ``n_samples``, ``gain`` and ``value`` of shape
-    ``(n_nodes, k)``.  The growers build :class:`_Node` objects as
-    scratch and freeze them into these arrays once, when growth (or
-    deserialization) finishes, so a trained ensemble holds a handful of
-    arrays per tree rather than one Python object per node.
-
-    Prediction is the one-tree case of the ensemble traversal
-    (:func:`_descend`, a vectorized level-order descent over those
-    arrays); GBDT and forest models descend all their trees at once
-    through :func:`_ensemble_sums`.  The original per-row/per-node loop
-    survives as :meth:`predict_binned_slow` because it is the reference
-    implementation the equivalence property tests (and the serving
-    benchmark baseline) compare against.
+    ``(n_nodes, k)``, frozen from :class:`_Node` scratch once growth (or
+    deserialization) finishes.  Prediction is the one-tree case of the
+    ensemble traversal (:func:`_descend`).
     """
 
     def __init__(self, params: TreeParams):
@@ -797,63 +639,68 @@ class HistogramTree:
                       .reshape(len(nodes), -1)
                       if nodes else np.zeros((0, self.n_outputs)))
 
-    # -- growing ------------------------------------------------------------ #
+    def _set_level_order(self, nodes: list[_Node], n_features: int) -> None:
+        """Freeze level-order grown nodes in pre-order (parent, full left
+        subtree, right subtree), the layout of serialized trees, node-id
+        goldens and ``apply`` leaf ids; ``feature_gain_`` sums in that
+        order."""
+        order, stack = [], [0]
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            if not nodes[i].is_leaf:
+                stack += (nodes[i].right, nodes[i].left)
+        remap = np.empty(len(nodes), dtype=np.int64)
+        remap[order] = np.arange(len(order))
+        nodes = [nodes[i] for i in order]
+        self.feature_gain_ = np.zeros(n_features)
+        for node in nodes:
+            if not node.is_leaf:
+                node.left = int(remap[node.left])
+                node.right = int(remap[node.right])
+                self.feature_gain_[node.feature] += node.gain
+        self._set_nodes(nodes)
 
-    def _prepare_fit(self, binned, grad, hess):
-        binned = np.asarray(binned)
-        grad = np.atleast_2d(np.asarray(grad, dtype=float).T).T
-        hess = np.atleast_2d(np.asarray(hess, dtype=float).T).T
-        if grad.shape != hess.shape or len(grad) != len(binned):
-            raise ValueError("grad/hess/binned shape mismatch")
-        self.n_outputs = grad.shape[1]
-        self.feature_gain_ = np.zeros(binned.shape[1])
-        return binned, grad, hess
+    # -- growing ------------------------------------------------------------ #
 
     def fit(
         self,
         binned: np.ndarray,
         grad: np.ndarray,
-        hess: np.ndarray,
+        hess: np.ndarray | None,
         rng: np.random.Generator | None = None,
         n_bins: np.ndarray | None = None,
     ) -> "HistogramTree":
         """Grow on uint8-binned X; grad/hess are (n,) or (n, k).
 
-        ``n_bins`` (per-feature bin counts, e.g.
-        :attr:`FeatureBinner.n_bins_`) sizes the histogram grid without
-        rescanning codes; when omitted the engine takes one max over
-        ``binned``.  Codes must stay below the advertised bin counts.
+        The one-chunk case of :meth:`fit_binned_chunks`.  ``n_bins``
+        (per-feature bin counts, e.g. :attr:`FeatureBinner.n_bins_`)
+        sizes the histogram grid without rescanning codes; when omitted
+        the grower takes one max over ``binned``.  Codes must stay below
+        the advertised bin counts.  ``hess=None`` means unit hessians.
         """
-        binned, grad, hess = self._prepare_fit(binned, grad, hess)
-        rng = rng or np.random.default_rng()
-        _TreeGrower(self, binned, grad, hess, rng, n_bins=n_bins).run()
-        return self
+        binned = np.asarray(binned)
+        if n_bins is None:
+            n_bins = [int(binned.max()) + 1 if binned.size else 1]
+        if hess is not None and (np.asarray(hess) == 1.0).all():
+            hess = None  # the count plane is then the hessian plane
+        return self.fit_binned_chunks(lambda: iter([(binned, grad, hess)]),
+                                      rng=rng, n_bins=n_bins)
 
     def fit_reference(
         self,
         binned: np.ndarray,
         grad: np.ndarray,
-        hess: np.ndarray,
+        hess: np.ndarray | None,
         rng: np.random.Generator | None = None,
         n_bins: np.ndarray | None = None,
     ) -> "HistogramTree":
-        """Reference recursive grower (pre-engine implementation).
-
-        Kept as ground truth for the growth-equivalence property tests
-        and the baseline in ``benchmarks/bench_gbdt_fit.py``; the
-        engine in :meth:`fit` must stay bit-for-bit identical to it.
-        ``n_bins`` is accepted for signature compatibility and ignored
-        (this grower rescans codes per node).
-        """
+        """Reference grower on in-memory data: the one-chunk case of
+        :meth:`_grow_reference`, which :meth:`fit` must match bit for
+        bit.  ``n_bins`` is accepted and ignored (it rescans codes)."""
         del n_bins
-        binned, grad, hess = self._prepare_fit(binned, grad, hess)
-        rng = rng or np.random.default_rng()
-        idx_all = np.arange(len(binned))
-        nodes: list[_Node] = []
-        self._grow_reference(nodes, binned, grad, hess, idx_all, depth=0,
-                             rng=rng)
-        self._set_nodes(nodes)
-        return self
+        return self._grow_reference([(binned, grad, hess)],
+                                    rng or np.random.default_rng())
 
     def fit_binned_chunks(
         self,
@@ -861,38 +708,17 @@ class HistogramTree:
         rng: np.random.Generator | None = None,
         n_bins: np.ndarray | None = None,
     ) -> "HistogramTree":
-        """Grow out of core from a re-iterable ``(binned, grad, hess)`` stream.
+        """Grow from a re-iterable ``(binned, grad, hess)`` stream.
 
         ``chunks`` is a zero-arg callable returning a fresh iterator
-        over the *same* chunk sequence on every call (a colstore-backed
-        generator function, typically); ``hess=None`` in a triple means
-        unit hessians.  The stream is re-read once per tree level, so
-        peak memory is one chunk plus the frontier histogram plus ~4
-        bytes of slot state per row -- never the gathered matrix.
-
-        A stream holding a single chunk is routed straight through
-        :meth:`fit` and is bit-identical to the in-memory engine;
-        multi-chunk growth matches it to chunk-partial summation (ulp
-        level; see :class:`_StreamingTreeGrower` for the exact
-        contract).
+        over the *same* chunks on every call; ``hess=None`` in a triple
+        means unit hessians.  The stream is read once or twice per tree
+        level, never gathered (see :class:`_Grower`), and any chunk
+        geometry grows the tree :meth:`_grow_reference` grows on the
+        same chunks, bit for bit.  Without ``n_bins`` the grid is
+        ``MAX_BINS`` wide.
         """
-        rng = rng or np.random.default_rng()
-        it = chunks()
-        try:
-            first = next(it)
-        except StopIteration:
-            raise ValueError("empty chunk stream") from None
-        single = next(it, None) is None
-        del it
-        binned0, grad0, hess0 = first
-        if hess0 is None:
-            hess0 = np.ones_like(np.atleast_2d(
-                np.asarray(grad0, dtype=float).T).T)
-        if single:
-            return self.fit(binned0, grad0, hess0, rng=rng, n_bins=n_bins)
-        d = self._prepare_fit(binned0, grad0, hess0)[0].shape[1]
-        del first, binned0, grad0, hess0
-        _StreamingTreeGrower(self, chunks, d, rng, n_bins=n_bins).run()
+        _Grower(self, chunks, rng or np.random.default_rng(), n_bins).run()
         return self
 
     def _n_split_features(self, n_features: int) -> int:
@@ -906,74 +732,95 @@ class HistogramTree:
     def _leaf_value(self, G: np.ndarray, H: np.ndarray) -> np.ndarray:
         return G / (H + max(self.params.reg_lambda, 1e-12))
 
-    def _grow_reference(self, nodes, binned, grad, hess, idx, depth,
-                        rng) -> int:
-        node_id = len(nodes)
-        G = grad[idx].sum(axis=0)
-        H = hess[idx].sum(axis=0)
-        node = _Node(value=self._leaf_value(G, H), n_samples=len(idx))
-        nodes.append(node)
+    def _grow_reference(self, chunks, rng) -> "HistogramTree":
+        """Reference grower over a list of ``(binned, grad, hess)`` chunks.
 
+        Plain per-node, per-feature bincounts: no subtraction, no
+        scratch, no vectorized search.  Nodes grow in FIFO (level)
+        order.  A node's G/H are ``grad[rows].sum(axis=0)`` per chunk,
+        and each feature's histogram a bincount per chunk, added in
+        chunk order; ``max_features`` subsets are drawn in FIFO order.
+        Nodes are then renumbered to pre-order and ``feature_gain_``
+        accumulated in pre-order.
+        """
         p = self.params
-        if depth >= p.depth_limit or len(idx) < 2 * p.min_samples_leaf:
-            return node_id
-
-        n_features = binned.shape[1]
-        k_feat = self._n_split_features(n_features)
-        features = (np.arange(n_features) if k_feat == n_features
-                    else rng.choice(n_features, size=k_feat, replace=False))
-
-        # Floor the regularizer so empty bins (H == 0) cannot divide by zero.
         lam = max(p.reg_lambda, 1e-12)
-        base_score = float(np.sum(G * G / (H + lam)))
-        best_gain, best_feature, best_bin = 0.0, -1, -1
+        chunks = [(np.asarray(b), _outputs(g),
+                   np.ones_like(_outputs(g)) if h is None else _outputs(h))
+                  for b, g, h in chunks]
+        n_features = chunks[0][0].shape[1]
+        self.n_outputs = k = chunks[0][1].shape[1]
+        k_feat = self._n_split_features(n_features)
 
-        codes_node = binned[idx]
-        for f in features:
-            codes = codes_node[:, f]
-            n_bins = int(codes.max()) + 1
-            if n_bins < 2:
+        def chunk_sum(parts, zeros=None):
+            return functools.reduce(np.add, parts) if parts else zeros
+
+        nodes = [_Node()]
+        queue = deque([(0, [np.arange(len(b)) for b, _, _ in chunks], 0)])
+        while queue:
+            nid, idx, depth = queue.popleft()
+            parts = [(b[i], g[i], h[i])
+                     for (b, g, h), i in zip(chunks, idx) if len(i)]
+            G = chunk_sum([g.sum(axis=0) for _, g, _ in parts], np.zeros(k))
+            H = chunk_sum([h.sum(axis=0) for _, _, h in parts], np.zeros(k))
+            m = sum(len(i) for i in idx)
+            node = nodes[nid]
+            node.value, node.n_samples = self._leaf_value(G, H), m
+            if depth >= p.depth_limit or m < 2 * p.min_samples_leaf:
                 continue
-            # Per-bin gradient/hessian sums for every output.
-            hist_g = np.empty((n_bins, self.n_outputs))
-            hist_h = np.empty((n_bins, self.n_outputs))
-            hist_n = np.bincount(codes, minlength=n_bins)
-            for k in range(self.n_outputs):
-                hist_g[:, k] = np.bincount(codes, weights=grad[idx, k],
-                                           minlength=n_bins)
-                hist_h[:, k] = np.bincount(codes, weights=hess[idx, k],
-                                           minlength=n_bins)
-            GL = np.cumsum(hist_g, axis=0)[:-1]
-            HL = np.cumsum(hist_h, axis=0)[:-1]
-            NL = np.cumsum(hist_n)[:-1]
-            GR = G - GL
-            HR = H - HL
-            NR = len(idx) - NL
-            valid = (NL >= p.min_samples_leaf) & (NR >= p.min_samples_leaf)
-            if not valid.any():
+            features = (np.arange(n_features) if k_feat == n_features
+                        else rng.choice(n_features, size=k_feat,
+                                        replace=False))
+            base_score = float(np.sum(G * G / (H + lam)))
+            best_gain, best_feature, best_bin = 0.0, -1, -1
+            for f in features:
+                n_bins = max((int(c[:, f].max()) + 1 for c, _, _ in parts),
+                             default=1)
+                if n_bins < 2:
+                    continue
+                # Per-bin gradient/hessian sums for every output.
+                hist_g = np.empty((n_bins, k))
+                hist_h = np.empty((n_bins, k))
+                hist_n = chunk_sum([np.bincount(c[:, f], minlength=n_bins)
+                                    for c, _, _ in parts])
+                for j in range(k):
+                    hist_g[:, j] = chunk_sum(
+                        [np.bincount(c[:, f], weights=g[:, j],
+                                     minlength=n_bins)
+                         for c, g, _ in parts])
+                    hist_h[:, j] = chunk_sum(
+                        [np.bincount(c[:, f], weights=h[:, j],
+                                     minlength=n_bins)
+                         for c, _, h in parts])
+                GL = np.cumsum(hist_g, axis=0)[:-1]
+                HL = np.cumsum(hist_h, axis=0)[:-1]
+                NL = np.cumsum(hist_n)[:-1]
+                GR, HR, NR = G - GL, H - HL, m - NL
+                valid = (NL >= p.min_samples_leaf) & (NR >= p.min_samples_leaf)
+                if not valid.any():
+                    continue
+                score = (np.sum(GL * GL / (HL + lam), axis=1)
+                         + np.sum(GR * GR / (HR + lam), axis=1))
+                score[~valid] = -np.inf
+                b = int(np.argmax(score))
+                gain = float(score[b]) - base_score
+                if gain > best_gain:
+                    best_gain, best_feature, best_bin = gain, int(f), b
+
+            if best_feature < 0 or best_gain <= p.min_gain:
                 continue
-            score = (np.sum(GL * GL / (HL + lam), axis=1)
-                     + np.sum(GR * GR / (HR + lam), axis=1))
-            score[~valid] = -np.inf
-            b = int(np.argmax(score))
-            gain = float(score[b]) - base_score
-            if gain > best_gain:
-                best_gain, best_feature, best_bin = gain, int(f), b
-
-        if best_feature < 0 or best_gain <= p.min_gain:
-            return node_id
-
-        mask = codes_node[:, best_feature] <= best_bin
-        left_idx, right_idx = idx[mask], idx[~mask]
-        node.feature = best_feature
-        node.threshold_bin = best_bin
-        node.gain = best_gain
-        self.feature_gain_[best_feature] += best_gain
-        node.left = self._grow_reference(nodes, binned, grad, hess,
-                                         left_idx, depth + 1, rng)
-        node.right = self._grow_reference(nodes, binned, grad, hess,
-                                          right_idx, depth + 1, rng)
-        return node_id
+            node.feature, node.threshold_bin = best_feature, best_bin
+            node.gain = best_gain
+            goes = [b[i, best_feature] <= best_bin
+                    for (b, _, _), i in zip(chunks, idx)]
+            node.left, node.right = len(nodes), len(nodes) + 1
+            nodes += [_Node(), _Node()]
+            queue.append((node.left, [i[g] for i, g in zip(idx, goes)],
+                          depth + 1))
+            queue.append((node.right, [i[~g] for i, g in zip(idx, goes)],
+                          depth + 1))
+        self._set_level_order(nodes, n_features)
+        return self
 
     # -- prediction ---------------------------------------------------------- #
 
@@ -1203,8 +1050,7 @@ class DecisionTreeRegressor:
         self._binner = FeatureBinner(self.max_bins)
         binned = self._binner.fit_transform(X)
         self._tree = HistogramTree(self.params)
-        self._tree.fit(binned, y, np.ones_like(np.atleast_2d(y.T).T),
-                       rng=rng, n_bins=self._binner.n_bins_)
+        self._tree.fit(binned, y, None, rng=rng, n_bins=self._binner.n_bins_)
         return self
 
     def predict(self, X) -> np.ndarray:

@@ -41,7 +41,7 @@ class TestForestRoundtrip:
     def test_regressor_predictions_identical(self):
         X, y = _data()
         model = RandomForestRegressor(n_estimators=10, max_depth=6,
-                                      random_state=0, workers=1).fit(X, y)
+                                      random_state=0).fit(X, y)
         clone = forest_from_dict(forest_to_dict(model))
         np.testing.assert_array_equal(clone.predict(X), model.predict(X))
 
@@ -49,27 +49,16 @@ class TestForestRoundtrip:
         X, _ = _data(seed=1)
         y = np.where(X[:, 0] > 0, "hi", "lo").astype(object)
         model = RandomForestClassifier(n_estimators=8, max_depth=5,
-                                       random_state=0, workers=1).fit(X, y)
+                                       random_state=0).fit(X, y)
         clone = forest_from_dict(forest_to_dict(model))
         np.testing.assert_array_equal(clone.predict_proba(X),
                                       model.predict_proba(X))
         assert clone.predict(X).tolist() == model.predict(X).tolist()
         assert clone.classes_.tolist() == model.classes_.tolist()
 
-    def test_workers_is_runtime_not_payload(self):
-        """Pool size is a runtime knob; it must not travel with the model."""
-        X, y = _data(seed=2)
-        model = RandomForestRegressor(n_estimators=4, random_state=0,
-                                      workers=3).fit(X, y)
-        payload = forest_to_dict(model)
-        assert "workers" not in payload["hyperparams"]
-        clone = forest_from_dict(payload)
-        np.testing.assert_array_equal(clone.predict(X), model.predict(X))
-
     def test_fit_telemetry_preserved(self):
         X, y = _data(seed=11)
-        model = RandomForestRegressor(n_estimators=3, random_state=0,
-                                      workers=1).fit(X, y)
+        model = RandomForestRegressor(n_estimators=3, random_state=0).fit(X, y)
         assert model.fit_telemetry_["model"] == "rf_regressor"
         assert model.fit_telemetry_["n_trees"] == 3
         clone = forest_from_dict(forest_to_dict(model))
@@ -82,8 +71,7 @@ class TestForestRoundtrip:
     def test_bad_version_rejected(self):
         X, y = _data(seed=3)
         payload = forest_to_dict(
-            RandomForestRegressor(n_estimators=2, random_state=0,
-                                  workers=1).fit(X, y)
+            RandomForestRegressor(n_estimators=2, random_state=0).fit(X, y)
         )
         payload["format_version"] = 999
         with pytest.raises(ValueError):
@@ -139,10 +127,8 @@ class TestGenericDispatch:
         labels = np.where(X[:, 1] > 0, "hi", "lo").astype(object)
         models = [
             GBDTRegressor(n_estimators=3, random_state=0).fit(X, y),
-            RandomForestRegressor(n_estimators=3, random_state=0,
-                                  workers=1).fit(X, y),
-            RandomForestClassifier(n_estimators=3, random_state=0,
-                                   workers=1).fit(X, labels),
+            RandomForestRegressor(n_estimators=3, random_state=0).fit(X, y),
+            RandomForestClassifier(n_estimators=3, random_state=0).fit(X, labels),
             StandardScaler().fit(X),
             PredictionPipeline(
                 GBDTRegressor(n_estimators=3, random_state=0)
@@ -154,8 +140,7 @@ class TestGenericDispatch:
 
     def test_json_twins_round_trip(self):
         X, y = _data(seed=9)
-        model = RandomForestRegressor(n_estimators=3, random_state=0,
-                                      workers=1).fit(X, y)
+        model = RandomForestRegressor(n_estimators=3, random_state=0).fit(X, y)
         payload = model_to_json(model, sort_keys=True)
         json.loads(payload)  # valid JSON text
         clone = model_from_json(payload)

@@ -4,12 +4,13 @@ Contracts under test (docs/colstore.md):
 
 * ``FeatureBinner.fit_stream`` is bit-identical to ``fit`` while every
   column fits the sketch capacity (the exact fast path);
-* ``HistogramTree.fit_binned_chunks`` on a single-chunk stream routes
-  through the exact engine (bit-identical fit); multi-chunk streams grow
-  the same split structure via level-order sweeps;
+* ``HistogramTree.fit_binned_chunks`` is the one tree grower: a
+  single-chunk stream is ``fit`` bit for bit, and a multi-chunk stream
+  grows, bit for bit, what the reference grower grows on the same
+  chunks (per-chunk sums added in chunk order);
 * ``fit_binned_stream`` on the GBDT/forest families reproduces the
-  in-memory fit exactly for single-chunk streams and deterministically
-  at bounded memory for multi-chunk ones.
+  in-memory fit exactly for single-chunk streams, and for multi-chunk
+  ones the fit the reference grower makes of the same chunks.
 """
 
 import numpy as np
@@ -18,6 +19,10 @@ import pytest
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.gbdt import GBDTClassifier, GBDTRegressor
 from repro.ml.tree import FeatureBinner, HistogramTree, TreeParams
+
+#: Every node array of a grown tree (see HistogramTree).
+NODE_ARRAYS = ("feature", "threshold_bin", "left", "right", "n_samples",
+               "gain", "value")
 
 
 def _data(n=600, d=5, seed=0):
@@ -100,23 +105,29 @@ class TestTreeStream:
 
         stream = HistogramTree(params).fit_binned_chunks(
             chunks, n_bins=binner.n_bins_)
-        return ref, stream, binned
+        oracle = HistogramTree(params)._grow_reference(
+            [(b, g, None) for b, g in parts], np.random.default_rng())
+        return ref, stream, oracle, binned
 
     def test_single_chunk_bit_identical(self):
-        ref, stream, binned = self._fit_pair([600])
-        assert np.array_equal(ref.predict_binned(binned),
-                              stream.predict_binned(binned))
-        assert np.array_equal(ref.feature_gain_, stream.feature_gain_)
+        ref, stream, _, binned = self._fit_pair([600])
+        for name in NODE_ARRAYS:
+            assert getattr(ref, name).tobytes() == \
+                getattr(stream, name).tobytes(), name
+        assert ref.feature_gain_.tobytes() == stream.feature_gain_.tobytes()
 
     def test_multi_chunk_same_structure(self):
-        ref, stream, binned = self._fit_pair([200, 200, 200])
+        ref, stream, oracle, binned = self._fit_pair([200, 200, 200])
         for name in ("feature", "threshold_bin", "left", "right",
                      "n_samples"):
             assert getattr(ref, name).tobytes() == \
                 getattr(stream, name).tobytes(), name
-        assert np.allclose(ref.predict_binned(binned),
-                           stream.predict_binned(binned),
-                           rtol=1e-12, atol=1e-12)
+        # Values sum per chunk, in chunk order: exactly the oracle's.
+        for name in NODE_ARRAYS:
+            assert getattr(oracle, name).tobytes() == \
+                getattr(stream, name).tobytes(), name
+        assert oracle.feature_gain_.tobytes() == \
+            stream.feature_gain_.tobytes()
 
     def test_chunk_shape_change_between_passes_rejected(self):
         X, y = _data()
@@ -169,6 +180,14 @@ class TestGBDTStream:
                                                              binner)
         assert np.allclose(ref.predict(X), est.predict(X),
                            rtol=1e-9, atol=1e-9)
+        # Bit for bit what the reference grower makes of these chunks.
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(HistogramTree, "fit_binned_chunks",
+                      lambda tree, stream, rng=None, n_bins=None:
+                      tree._grow_reference(list(stream()), rng))
+            oracle = GBDTRegressor(**self.PARAMS).fit_binned_stream(
+                chunks, binner)
+        assert oracle.predict(X).tobytes() == est.predict(X).tobytes()
 
     def test_classifier_single_chunk_bitwise(self):
         X, y = _data()

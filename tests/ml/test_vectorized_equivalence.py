@@ -277,7 +277,7 @@ class TestModelLevelEquivalence:
         X = rng.normal(size=(300, 4))
         y = np.abs(X[:, 1]) + rng.normal(0, 0.1, 300)
         model = RandomForestRegressor(n_estimators=12, max_depth=6,
-                                      random_state=seed, workers=1).fit(X, y)
+                                      random_state=seed).fit(X, y)
         for X_query in _queries(rng, 4):
             _check(model, X_query)
 
@@ -287,7 +287,7 @@ class TestModelLevelEquivalence:
         X = rng.normal(size=(300, 3))
         y = np.where(X[:, 0] + X[:, 1] > 0, "hi", "lo").astype(object)
         model = RandomForestClassifier(n_estimators=10, max_depth=5,
-                                       random_state=seed, workers=1).fit(X, y)
+                                       random_state=seed).fit(X, y)
         for X_query in _queries(rng, 3):
             _check(model, X_query)
 
@@ -299,9 +299,9 @@ FAMILIES = {
         quantile=0.8, random_state=0, **kw),
     "gbdt_clf": lambda **kw: GBDTClassifier(random_state=0, **kw),
     "rf_reg": lambda **kw: RandomForestRegressor(
-        random_state=0, workers=1, **kw),
+        random_state=0, **kw),
     "rf_clf": lambda **kw: RandomForestClassifier(
-        random_state=0, workers=1, **kw),
+        random_state=0, **kw),
 }
 
 

@@ -3,9 +3,9 @@
 The lint pins two tree-performance invariants: library code never calls
 the reference implementations (fit_reference / _grow_reference /
 predict_binned_slow / apply_slow -- those exist for tests and benchmark
-baselines), and the growth hot path in ml/tree.py carries no per-node
-``binned[idx]``-style row gathers outside the designated reference
-functions.
+baselines), and the growth hot path in ml/tree.py carries no
+``binned[idx]``-style row gathers outside the reference functions and
+the grower's one per-chunk gather, ``_gather``.
 """
 
 import pathlib
@@ -83,7 +83,7 @@ class TestDetection:
                 return codes, g
         """, hot_path=True)
         assert len(found) == 2
-        assert all("in-place partition" in msg for _, msg in found)
+        assert all("_gather" in msg for _, msg in found)
 
     def test_row_gather_allowed_in_reference_functions(self, tmp_path):
         found = self._violations(tmp_path, """\
@@ -91,6 +91,25 @@ class TestDetection:
                 return binned[idx], grad[idx]
         """, hot_path=True)
         assert found == []
+
+    def test_row_gather_allowed_in_grower_gather(self, tmp_path):
+        found = self._violations(tmp_path, """\
+            class _Grower:
+                def _gather(self, binned, grad, hess, r):
+                    return binned[r], grad[r], hess[r]
+        """, hot_path=True)
+        assert found == []
+
+    def test_grower_gather_is_the_only_one_allowed(self, tmp_path):
+        """The allowance names the grower's gather, not a leftover
+        streaming sweep."""
+        assert "_gather" in check_tree._GATHER_ALLOWED_FUNCS
+        assert "_sweep" not in check_tree._GATHER_ALLOWED_FUNCS
+        found = self._violations(tmp_path, """\
+            def _sweep(binned, rows):
+                return binned[rows]
+        """, hot_path=True)
+        assert len(found) == 1
 
     def test_row_gather_ignored_off_hot_path(self, tmp_path):
         found = self._violations(tmp_path, """\

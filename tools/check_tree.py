@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Lint: tree growth and traversal stay on the fast engine.
+"""Lint: tree growth and traversal stay on the fast grower.
 
 Two rules keep the histogram-tree performance contract enforceable:
 
@@ -9,15 +9,14 @@ Two rules keep the histogram-tree performance contract enforceable:
    as ground truth for the equivalence property tests and benchmark
    baselines.  A call from ``src/repro/`` means a hot path silently
    regressed to the slow implementation.
-2. **No per-node row gathers in the growth hot path** -- inside
+2. **Row gathers in the growth hot path live in one place** -- inside
    ``src/repro/ml/tree.py``, fancy-indexed row copies like
-   ``binned[idx]`` / ``grad[idx]`` are what the iterative engine's
-   in-place partition was built to remove; they are only allowed in the
-   functions that are *defined* to be slow (the reference grower and
-   reference traversals) and in the out-of-core level sweep
-   (``_sweep``), whose single per-chunk gather of active rows is the
-   streaming design -- bounded by ``chunk_rows``, once per chunk per
-   level, never per node.
+   ``binned[idx]`` / ``grad[idx]`` are only allowed in the functions
+   that are *defined* to be slow (the reference grower and reference
+   traversals) and in the grower's per-chunk gather (``_gather``),
+   which copies one node's rows of one chunk -- bounded by
+   ``chunk_rows`` and by the node's size.  A gather anywhere else is
+   a second, unaccounted copy of the rows.
 
 Run directly (``python tools/check_tree.py``) or via the tier-1 suite
 (``tests/test_check_tree.py`` wires it in).
@@ -40,13 +39,11 @@ _REFERENCE_NAMES = frozenset({
 
 #: Functions in tree.py that may keep ``array[rows]`` gather indexing:
 #: the reference implementations (defined to be slow), plus the
-#: out-of-core level sweep ``_sweep``, whose one gather per chunk of the
-#: active rows is the streaming design itself -- bounded by
-#: ``chunk_rows`` and amortised over every node of the level, unlike
-#: the per-node copies this lint exists to catch.
+#: grower's per-chunk gather ``_gather`` -- the one place the grower
+#: copies a node's rows of a chunk, bounded by ``chunk_rows``.
 _GATHER_ALLOWED_FUNCS = frozenset({
     "fit_reference", "_grow_reference", "predict_binned_slow", "apply_slow",
-    "_sweep",
+    "_gather",
 })
 
 #: Names whose subscripting with a bare-name index marks a per-node row
@@ -56,7 +53,7 @@ _ROW_ARRAYS = frozenset({"binned", "grad", "hess", "codes_node"})
 
 class _Visitor(ast.NodeVisitor):
     """Flags reference calls and hot-path row gathers, except inside
-    the functions that *are* the reference implementations."""
+    the reference implementations and the grower's ``_gather``."""
 
     def __init__(self, hot_path: bool):
         self.hot_path = hot_path
@@ -82,7 +79,7 @@ class _Visitor(ast.NodeVisitor):
                 node.lineno,
                 f".{node.func.attr}() call: reference implementations are "
                 "for tests/benchmarks only; library code must use the "
-                "fast engine",
+                "fast grower",
             ))
         self.generic_visit(node)
 
@@ -97,7 +94,7 @@ class _Visitor(ast.NodeVisitor):
             self.violations.append((
                 node.lineno,
                 f"{node.value.id}[{node.slice.id}] row gather in tree "
-                "growth hot path; use the engine's in-place partition",
+                "growth hot path; gather rows through the grower's _gather",
             ))
         self.generic_visit(node)
 
@@ -108,7 +105,7 @@ def file_violations(
     """(line, message) pairs for one library source file.
 
     ``hot_path`` additionally enforces the no-row-gather rule outside
-    the designated reference functions (used for ml/tree.py).
+    the designated functions (used for ml/tree.py).
     """
     tree = ast.parse(path.read_text(), filename=str(path))
     visitor = _Visitor(hot_path)
