@@ -12,9 +12,12 @@ asserted case) through three model families:
   7-output trees), grower vs reference.
 * **forest** -- bagged sqrt-feature trees, grown serially.
 
-Throughput is reported as rows*trees/sec (rows fitted per tree times
-trees per second), the natural unit for boosting/bagging training, and
-recorded as obs gauges so it lands in
+Every row is the median of ``REPEATS`` samples taken in alternation (each
+round fits every row once, so a slow stretch of the host lands on all
+rows of that round rather than on one row).  Throughput is reported as
+rows*trees/sec (rows fitted per tree times trees per second), the
+natural unit for boosting/bagging training, and recorded as obs gauges
+so it lands in
 ``benchmarks/results/obs_metrics.json`` (``engine`` in a gauge name is
 the grower; the names are kept so the history stays comparable):
 
@@ -44,6 +47,8 @@ N_REG, REG_TREES = 50_000, 5
 N_CLS, CLS_TREES = 20_000, 2
 N_RF, RF_TREES = 20_000, 8
 D = 20
+#: Alternated samples per row; each row reports their median.
+REPEATS = 3
 
 
 def _regression_data(seed=0):
@@ -78,51 +83,55 @@ def test_gbdt_fit_throughput(benchmark, monkeypatch, capsys):
     clf_kwargs = dict(n_estimators=CLS_TREES, max_depth=6,
                       min_samples_leaf=10, max_bins=64, random_state=0)
 
-    # Regressor: grower (timed by pytest-benchmark) then reference.
-    t0 = time.perf_counter()
-    engine_model = benchmark.pedantic(
-        lambda: GBDTRegressor(**reg_kwargs).fit(X_reg, y_reg),
-        rounds=1, iterations=1,
-    )
-    reg_engine_s = time.perf_counter() - t0
-    with monkeypatch.context() as m:
-        _use_reference(m)
-        t0 = time.perf_counter()
-        reference_model = GBDTRegressor(**reg_kwargs).fit(X_reg, y_reg)
-        reg_reference_s = time.perf_counter() - t0
-    # Same bits out of both growers, or the speedup is meaningless.
-    probe = X_reg[:2000]
-    np.testing.assert_array_equal(engine_model.predict(probe),
-                                  reference_model.predict(probe))
-
     # The same regressor fit as a stream of 3 in-memory chunks.
     binner = FeatureBinner(reg_kwargs["max_bins"]).fit(X_reg)
     codes = binner.transform(X_reg)
     parts = [(codes[s:s + N_REG // 3 + 1], y_reg[s:s + N_REG // 3 + 1])
              for s in range(0, N_REG, N_REG // 3 + 1)]
     assert len(parts) == 3
-    t0 = time.perf_counter()
-    GBDTRegressor(**reg_kwargs).fit_binned_stream(lambda: iter(parts),
-                                                  binner)
-    reg_3chunk_s = time.perf_counter() - t0
-
-    # Classifier, 7 classes -> 7-output trees.
-    t0 = time.perf_counter()
-    GBDTClassifier(**clf_kwargs).fit(X_clf, y_clf)
-    clf_engine_s = time.perf_counter() - t0
-    with monkeypatch.context() as m:
-        _use_reference(m)
-        t0 = time.perf_counter()
-        GBDTClassifier(**clf_kwargs).fit(X_clf, y_clf)
-        clf_reference_s = time.perf_counter() - t0
-
-    # Forest: grown serially.
     X_rf, y_rf = X_reg[:N_RF], y_reg[:N_RF]
     rf_kwargs = dict(n_estimators=RF_TREES, max_depth=10,
                      min_samples_leaf=3, max_bins=64, random_state=0)
-    t0 = time.perf_counter()
-    RandomForestRegressor(**rf_kwargs).fit(X_rf, y_rf)
-    rf_serial_s = time.perf_counter() - t0
+
+    def reference(fit):
+        def run():
+            with monkeypatch.context() as m:
+                _use_reference(m)
+                return fit()
+        return run
+
+    # One round fits every row once; the grower and the reference grower
+    # alternate within it.
+    fits = {
+        "reg_engine": lambda: GBDTRegressor(**reg_kwargs).fit(X_reg, y_reg),
+        "reg_reference": reference(
+            lambda: GBDTRegressor(**reg_kwargs).fit(X_reg, y_reg)),
+        "reg_3chunk": lambda: GBDTRegressor(**reg_kwargs).fit_binned_stream(
+            lambda: iter(parts), binner),
+        "clf_engine": lambda: GBDTClassifier(**clf_kwargs).fit(X_clf, y_clf),
+        "clf_reference": reference(
+            lambda: GBDTClassifier(**clf_kwargs).fit(X_clf, y_clf)),
+        "rf_serial": lambda: RandomForestRegressor(**rf_kwargs).fit(X_rf,
+                                                                    y_rf),
+    }
+    samples = {name: [] for name in fits}
+    models = {}
+
+    def rounds():
+        for _ in range(REPEATS):
+            for name, fit in fits.items():
+                t0 = time.perf_counter()
+                models[name] = fit()
+                samples[name].append(time.perf_counter() - t0)
+
+    benchmark.pedantic(rounds, rounds=1, iterations=1)
+    # Same bits out of both growers, or the speedup is meaningless.
+    probe = X_reg[:2000]
+    np.testing.assert_array_equal(models["reg_engine"].predict(probe),
+                                  models["reg_reference"].predict(probe))
+    (reg_engine_s, reg_reference_s, reg_3chunk_s, clf_engine_s,
+     clf_reference_s, rf_serial_s) = (float(np.median(samples[name]))
+                                      for name in fits)
 
     def rtps(n, trees, wall):
         return n * trees / wall
@@ -171,7 +180,9 @@ def test_gbdt_fit_throughput(benchmark, monkeypatch, capsys):
              f"{rf_serial_s:.2f}", f"{rf_serial:.0f}", "-"],
         ],
     )
-    emit("gbdt_fit_throughput", table, capsys)
+    emit("gbdt_fit_throughput",
+         table + f"\nwall s: median of {REPEATS} alternated repeats",
+         capsys)
 
     assert reg_speedup >= 2.0, (
         f"the tree grower must be >=2x the reference grower on the "

@@ -96,17 +96,21 @@ class ObstacleMap:
     def add(self, obstacle: Obstacle) -> None:
         self.obstacles.append(obstacle)
 
-    def blockers_between(
-        self, a: tuple[float, float], b: tuple[float, float]
-    ) -> list[Obstacle]:
-        """All obstacles whose footprint crosses the segment a-b."""
-        return [o for o in self.obstacles if o.shape.intersects_segment(a, b)]
+    def slabs(self, origin: tuple[float, float]) -> tuple:
+        """Per obstacle, in map order: ``origin``'s slab offsets (the ``q``
+        terms of :meth:`Rect.intersects_segment`), loss and reflectivity."""
+        x0, y0 = origin
+        return tuple(
+            ((x0 - r.x_min, r.x_max - x0, y0 - r.y_min, r.y_max - y0),
+             o.penetration_loss_db, o.reflectivity)
+            for o in self.obstacles for r in (o.shape,)
+        )
 
     def penetration_loss_db(
         self, a: tuple[float, float], b: tuple[float, float]
     ) -> float:
         """Total structural penetration loss along the direct ray a-b."""
-        return sum(o.penetration_loss_db for o in self.blockers_between(a, b))
+        return ray_blockage(self.slabs(a), b[0] - a[0], b[1] - a[1])[0]
 
     def has_los(
         self,
@@ -126,7 +130,36 @@ class ObstacleMap:
         (or nearby) may still deliver a usable NLoS path; we approximate
         this by the maximum reflectivity among the blockers.
         """
-        blockers = self.blockers_between(a, b)
-        if not blockers:
-            return 0.0
-        return max(o.reflectivity for o in blockers)
+        return ray_blockage(self.slabs(a), b[0] - a[0], b[1] - a[1])[1]
+
+
+def ray_blockage(slabs: tuple, dx: float, dy: float) -> tuple[float, float]:
+    """``(penetration loss, best reflectivity)`` of the ray from the origin
+    of ``slabs`` by ``(dx, dy)``: the slab test of
+    :meth:`Rect.intersects_segment` (same pairs and branch order, ``max``
+    and ``min`` as comparisons), crossed losses added in map order."""
+    pen = refl = 0.0
+    ps = (-dx, dx, -dy, dy)
+    for qs, loss, r in slabs:
+        t0, t1 = 0.0, 1.0
+        for p, q in zip(ps, qs):
+            if p == 0.0:
+                if q < 0.0:
+                    break
+                continue
+            t = q / p
+            if p < 0.0:
+                if t > t1:
+                    break
+                if t > t0:
+                    t0 = t
+            elif t < t0:
+                break
+            elif t < t1:
+                t1 = t
+        else:
+            if t0 <= t1:
+                pen += loss
+                if r > refl:
+                    refl = r
+    return pen, refl

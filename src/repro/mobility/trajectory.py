@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,19 +30,22 @@ class Trajectory:
         if len(self.waypoints) < 2:
             raise ValueError("a trajectory needs at least two waypoints")
 
-    @property
-    def segments(self) -> list[tuple[tuple[float, float], tuple[float, float]]]:
+    # Derived once per (frozen) route; pickling carries the cache along.
+    @cached_property
+    def segments(self) -> tuple[tuple[tuple[float, float], ...], ...]:
         pts = list(self.waypoints)
         if self.closed:
             pts.append(pts[0])
-        return list(zip(pts[:-1], pts[1:]))
+        return tuple(zip(pts[:-1], pts[1:]))
 
-    @property
+    @cached_property
     def _segment_lengths(self) -> np.ndarray:
-        return np.array([math.hypot(b[0] - a[0], b[1] - a[1])
-                         for a, b in self.segments])
+        lengths = np.array([math.hypot(b[0] - a[0], b[1] - a[1])
+                            for a, b in self.segments])
+        lengths.flags.writeable = False  # one array, shared by every caller
+        return lengths
 
-    @property
+    @cached_property
     def length_m(self) -> float:
         return float(self._segment_lengths.sum())
 

@@ -34,9 +34,12 @@ class BodyBlockageModel:
     max_loss_db: float = 18.0
     applies_when_driving: bool = False
 
+    def applies(self, driving: bool) -> bool:  # windshield mount: no body
+        return not driving or self.applies_when_driving
+
     def loss_db(self, mobility_angle_deg: float, driving: bool = False) -> float:
-        if driving and not self.applies_when_driving:
-            return 0.0  # phone mounted on the windshield, no body in the way
+        if not self.applies(driving):
+            return 0.0
         # Fold theta_m into [0, 180]: 0 = moving with panel facing direction.
         folded = mobility_angle_deg % 360.0
         if folded > 180.0:

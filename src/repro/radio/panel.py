@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from repro.geo.geometry import positional_angle
+
 
 @dataclass(frozen=True)
 class Panel:
@@ -50,8 +52,6 @@ class Panel:
         off-boresight angle, floored at a -30 dB front-to-back ratio, the
         standard sectorized antenna model (3GPP TR 36.942).
         """
-        from repro.geo.geometry import positional_angle
-
         off = positional_angle(self.position, self.bearing_deg, ue_xy)
         attenuation = 12.0 * (off / self.beamwidth_deg) ** 2
         return self.max_gain_db - min(attenuation, 30.0)

@@ -69,20 +69,25 @@ class ShadowingProcess:
     makes throughput traces *trajectories* rather than white noise, and is
     the structure that history-based models (Seq2Seq, harmonic mean) can
     exploit.
+
+    ``size=P`` runs P processes on a vector state (``None``: one, on a
+    float), drawing from ``rng`` as P scalar processes stepped in order.
     """
 
     sigma_db: float = 4.0
     decorrelation_distance_m: float = 10.0
-    _state_db: float = 0.0
+    size: int | None = None
+    _state_db: float | np.ndarray = 0.0
 
     def reset(self, rng: np.random.Generator) -> None:
-        self._state_db = float(rng.normal(0.0, self.sigma_db))
+        self._state_db = rng.normal(0.0, self.sigma_db, size=self.size)
 
-    def step(self, speed_mps: float, dt_s: float, rng: np.random.Generator) -> float:
+    def step(self, speed_mps: float, dt_s: float, rng: np.random.Generator):
         """Advance one time step and return the current shadowing in dB."""
         moved = max(speed_mps, 0.05) * dt_s
         rho = math.exp(-moved / self.decorrelation_distance_m)
-        innovation = rng.normal(0.0, self.sigma_db * math.sqrt(1.0 - rho * rho))
+        sigma = self.sigma_db * math.sqrt(1.0 - rho * rho)
+        innovation = rng.normal(0.0, sigma, size=self.size)
         self._state_db = rho * self._state_db + innovation
         return self._state_db
 
@@ -121,10 +126,24 @@ class SpatialShadowingField:
         self._phase = rng.uniform(0.0, 2 * np.pi, size=n_components)
         self._amp = sigma_db * np.sqrt(2.0 / n_components)
 
+    @classmethod
+    def stack(cls, fields: list["SpatialShadowingField"]
+              ) -> "SpatialShadowingField":
+        """The fields as the rows of one, for :meth:`values_db`."""
+        out = cls.__new__(cls)
+        for name in vars(fields[0]):
+            setattr(out, name, np.stack([vars(f)[name] for f in fields]))
+        return out
+
+    def values_db(self, x_m: float, y_m: float) -> np.ndarray:
+        """Each row's shadowing in dB at a position (row i of a stack is
+        field i's :meth:`value_db`, to the bit)."""
+        arg = self._kx * x_m + self._ky * y_m + self._phase
+        return self._amp * np.cos(arg).sum(axis=-1)
+
     def value_db(self, x_m: float, y_m: float) -> float:
         """Shadowing in dB at a position (deterministic)."""
-        arg = self._kx * x_m + self._ky * y_m + self._phase
-        return float(self._amp * np.cos(arg).sum())
+        return float(self.values_db(x_m, y_m))
 
 
 def fast_fading_db(los: bool, rng: np.random.Generator, k_factor_db: float = 9.0) -> float:

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro import obs
 from repro.env.environment import Environment
+from repro.env.obstacles import ray_blockage
 from repro.geo.geometry import distance, mobility_angle, positional_angle
 from repro.mobility.models import MobilityModel, kmph
 from repro.mobility.trajectory import Trajectory, TraversalState
@@ -46,6 +47,7 @@ from repro.radio.propagation import (
     ShadowingProcess,
     SpatialShadowingField,
     fast_fading_db,
+    fspl_db,
 )
 from repro.radio.signal import SignalStrengthModel
 from repro.ue.device import UserEquipment
@@ -115,7 +117,8 @@ class StepResult:
 
 
 class LinkSimulator:
-    """Stateful per-run radio/transport simulator for a single UE."""
+    """Stateful per-run radio/transport simulator for a single UE; its
+    site (per-panel tuples, stacked fields) is compiled on construction."""
 
     def __init__(
         self,
@@ -126,19 +129,28 @@ class LinkSimulator:
         self.env = env
         self.config = config or SimulationConfig()
         self.rng = rng or np.random.default_rng()
-        self._shadowing: dict[int, ShadowingProcess] = {}
-        self._fields: dict[int, SpatialShadowingField] = {}
         cfg = self.config
+        self._panels = env.panels.panels
+        self._site = [
+            (p.position[0], p.position[1], p.bearing_deg, p.tx_power_dbm,
+             env.obstacles.slabs(p.position))
+            for p in self._panels
+        ]
         # Stable across processes (unlike hash()), so the spatial shadowing
         # field of an area is identical in every campaign.
         env_seed = zlib.crc32(env.name.encode()) % (2**31)
-        for panel in env.panels.panels:
-            self._fields[panel.panel_id] = SpatialShadowingField(
-                sigma_db=cfg.spatial_shadow_sigma_db,
-                correlation_length_m=cfg.spatial_shadow_correlation_m,
-                seed=env_seed + panel.panel_id,
-            )
+        self._fields = SpatialShadowingField.stack([SpatialShadowingField(
+            sigma_db=cfg.spatial_shadow_sigma_db,
+            correlation_length_m=cfg.spatial_shadow_correlation_m,
+            seed=env_seed + panel.panel_id,
+        ) for panel in self._panels])
+        self._fspl_1m_db = fspl_db(1.0, cfg.path_loss.frequency_ghz)
+        self._shadowing = ShadowingProcess(
+            sigma_db=cfg.temporal_shadow_sigma_db,
+            decorrelation_distance_m=10.0, size=len(self._panels),
+        )
         self._beam_trackers: dict[int, BeamTracker] = {}
+        self._distances: list[float] = []  # UE to each panel, last step
         self.attachment = AttachmentState()
         self.tracker = HandoffTracker()
         self.tcp = BulkTransferModel()
@@ -149,20 +161,13 @@ class LinkSimulator:
     def reset(self) -> None:
         """Start a fresh measurement run (new shadowing, new TCP state)."""
         cfg = self.config
-        self._shadowing = {}
-        for panel in self.env.panels.panels:
-            proc = ShadowingProcess(
-                sigma_db=cfg.temporal_shadow_sigma_db,
-                decorrelation_distance_m=10.0,
-            )
-            proc.reset(self.rng)
-            self._shadowing[panel.panel_id] = proc
+        self._shadowing.reset(self.rng)
         if cfg.beams is not None:
             self._beam_trackers = {
                 panel.panel_id: BeamTracker(
                     cfg.beams, sweep_period_s=cfg.beam_sweep_period_s
                 )
-                for panel in self.env.panels.panels
+                for panel in self._panels
             }
         self.attachment = AttachmentState()
         self.tracker = HandoffTracker()
@@ -174,50 +179,54 @@ class LinkSimulator:
 
     # ------------------------------------------------------------------ #
 
-    def _panel_path_loss_db(
+    def _link_budget(
         self,
-        panel: Panel,
         ue_xy: tuple[float, float],
         heading_deg: float,
         speed_mps: float,
         in_vehicle: bool,
-    ) -> tuple[float, bool]:
-        """Slow-fading loss (path + penetration + blockage + shadowing).
-
-        Returns (loss_db_from_EIRP_reference, los) where the loss already
-        accounts for antenna gain toward the UE, so the caller only adds
-        tx power.  Used both for handoff RSRP and as the base of the
-        serving-link SINR.
-        """
+    ) -> tuple[dict[int, float], dict[int, bool]]:
+        """Per-panel RSRP (tx power - path, penetration, blockage and
+        shadowing loss, net of antenna gain) and LoS flag."""
         cfg = self.config
-        d = distance(panel.position, ue_xy)
-        pen_db = self.env.obstacles.penetration_loss_db(panel.position, ue_xy)
-        los = pen_db <= 15.0
-        # A reflective blocker partially restores a blocked path (the
-        # paper's "signal properly deflected by the environment").
-        if pen_db > 0.0:
-            refl = self.env.obstacles.best_reflectivity(panel.position, ue_xy)
-            pen_db *= 1.0 - refl * cfg.reflection_recovery
-            pen_db += 3.0  # residual reflection loss even for perfect mirrors
-        pl = cfg.path_loss.mean_loss_db(d, los)
-        shadow = (
-            self._fields[panel.panel_id].value_db(*ue_xy)
-            + self._shadowing[panel.panel_id].step(speed_mps, 1.0, self.rng)
-        )
-        theta_m = mobility_angle(panel.bearing_deg, heading_deg)
-        body_db = cfg.body_blockage.loss_db(theta_m, driving=in_vehicle)
+        ux, uy = ue_xy
+        # Panel-independent terms once; one shadowing draw per panel.
+        shadows = (self._fields.values_db(ux, uy)
+                   + self._shadowing.step(speed_mps, 1.0, self.rng)).tolist()
+        body, body_on = cfg.body_blockage, cfg.body_blockage.applies(in_vehicle)
         vehicle_db = cfg.vehicle.loss_db(kmph(speed_mps), in_vehicle)
-        beam_db = 0.0
-        if cfg.beams is not None:
-            beam_db = self._beam_trackers[panel.panel_id].step(
-                panel.position, panel.bearing_deg, ue_xy, 1.0
+        los_n, nlos_n = cfg.path_loss.los_exponent, cfg.path_loss.nlos_exponent
+        seasonal_db, offset_db = cfg.seasonal_foliage_db, self.run_offset_db
+        beams = self._beam_trackers if cfg.beams is not None else None
+        rsrp: dict[int, float] = {}
+        los_by_panel: dict[int, bool] = {}
+        distances = self._distances = []  # reused by the LTE fallback
+        for panel, (px, py, bearing_deg, tx_dbm, slabs), shadow in zip(
+                self._panels, self._site, shadows):
+            dx, dy = ux - px, uy - py
+            d = math.hypot(dx, dy)
+            distances.append(d)
+            pen_db, refl = ray_blockage(slabs, dx, dy)
+            los = pen_db <= 15.0
+            # A reflective blocker partially restores a blocked path (the
+            # paper's "signal properly deflected by the environment").
+            if pen_db > 0.0:
+                pen_db *= 1.0 - refl * cfg.reflection_recovery
+                pen_db += 3.0  # residual reflection loss even for mirrors
+            pl = self._fspl_1m_db + 10.0 * (los_n if los else nlos_n) \
+                * math.log10(1.0 if d < 1.0 else d)
+            body_db = body.loss_db(
+                mobility_angle(bearing_deg, heading_deg)) if body_on else 0.0
+            beam_db = 0.0 if beams is None else beams[panel.panel_id].step(
+                panel.position, bearing_deg, ue_xy, 1.0)
+            loss = (
+                pl + min(pen_db, 60.0) + shadow + body_db + vehicle_db
+                + seasonal_db - panel.gain_toward_db(ue_xy) - beam_db
+                - offset_db
             )
-        loss = (
-            pl + min(pen_db, 60.0) + shadow + body_db + vehicle_db
-            + cfg.seasonal_foliage_db
-            - panel.gain_toward_db(ue_xy) - beam_db - self.run_offset_db
-        )
-        return loss, los
+            rsrp[panel.panel_id] = tx_dbm - loss
+            los_by_panel[panel.panel_id] = los
+        return rsrp, los_by_panel
 
     def step(
         self,
@@ -229,15 +238,8 @@ class LinkSimulator:
     ) -> StepResult:
         """Advance one second at the given kinematic state."""
         cfg = self.config
-
-        rsrp: dict[int, float] = {}
-        los_by_panel: dict[int, bool] = {}
-        for panel in self.env.panels.panels:
-            loss, los = self._panel_path_loss_db(
-                panel, ue_xy, heading_deg, speed_mps, in_vehicle
-            )
-            rsrp[panel.panel_id] = panel.tx_power_dbm - loss
-            los_by_panel[panel.panel_id] = los
+        rsrp, los_by_panel = self._link_budget(
+            ue_xy, heading_deg, speed_mps, in_vehicle)
 
         event = cfg.handoff.decide(self.attachment, rsrp)
         self.tracker.record(event)
@@ -315,8 +317,7 @@ class LinkSimulator:
 
         # LTE fallback: throughput from the macro model, TCP still ramps.
         self._prev_serving_los = None
-        nearest = self.env.panels.nearest(ue_xy)
-        d_macro = distance(nearest.position, ue_xy)
+        d_macro = min(self._distances)
         lte_mbps = cfg.lte.throughput_mbps(d_macro, self.rng)
         goodput = self.tcp.step(lte_mbps * 1e6, usable_fraction=usable)
         if obs_on:
@@ -334,10 +335,10 @@ class LinkSimulator:
 
     # ------------------------------------------------------------------ #
 
-    def lte_rx_dbm(self, ue_xy: tuple[float, float]) -> float:
-        """Rough LTE macro received power for signal reporting."""
-        nearest = self.env.panels.nearest(ue_xy)
-        d = max(distance(nearest.position, ue_xy), 10.0)
+    def lte_rx_dbm(self) -> float:
+        """Rough LTE macro received power for signal reporting, at the
+        position of the last :meth:`step`."""
+        d = max(min(self._distances), 10.0)
         return -60.0 - 30.0 * math.log10(d / 10.0)
 
 
@@ -393,7 +394,7 @@ def simulate_pass(
         signal = sim.config.signals.report(
             nr_rx_dbm=result.nr_rx_dbm,
             nr_sinr_db=result.sinr_db,
-            lte_rx_dbm=sim.lte_rx_dbm(pos),
+            lte_rx_dbm=sim.lte_rx_dbm(),
             rng=rng,
         )
 

@@ -55,6 +55,22 @@ class TestTrajectory:
         assert loop.heading_at(50.0) == pytest.approx(90.0)   # east leg
         assert loop.heading_at(120.0) == pytest.approx(0.0)   # north leg
 
+    def test_cached_geometry_travels_through_pickling(self):
+        """Segments and lengths are derived once per route and cached on
+        the instance; a pickled route (a campaign worker's copy) carries
+        the cache and still equals and hashes like the original."""
+        import pickle
+
+        loop = rectangle_loop("loop", 100.0, 50.0)
+        assert loop.segments is loop.segments
+        assert loop.length_m == 300.0
+        copy = pickle.loads(pickle.dumps(loop))
+        assert {"segments", "_segment_lengths", "length_m"} <= set(vars(copy))
+        assert copy == loop and hash(copy) == hash(loop)
+        assert copy.length_m == 300.0
+        assert copy.segments == loop.segments
+        assert copy.point_at(310.0) == loop.point_at(310.0)
+
     @given(st.floats(0.0, 299.9))
     @settings(max_examples=100)
     def test_points_on_perimeter(self, s):

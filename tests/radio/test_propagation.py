@@ -79,7 +79,31 @@ class TestShadowingProcess:
         assert abs(corr) < 0.1
 
 
+    def test_vector_state_is_scalar_processes_in_order(self):
+        """size=P draws the stream of P scalar processes stepped one
+        after another, to the bit, and leaves ``rng`` where they do."""
+        rng_v, rng_s = np.random.default_rng(8), np.random.default_rng(8)
+        vec = ShadowingProcess(sigma_db=0.8, size=5)
+        vec.reset(rng_v)
+        procs = [ShadowingProcess(sigma_db=0.8) for _ in range(5)]
+        for p in procs:
+            p.reset(rng_s)
+        for speed in (0.0, 1.4, 13.0, 0.3):
+            got = vec.step(speed, 1.0, rng_v)
+            want = np.array([p.step(speed, 1.0, rng_s) for p in procs])
+            assert got.tobytes() == want.tobytes()
+            assert rng_v.bit_generator.state == rng_s.bit_generator.state
+
+
 class TestSpatialShadowingField:
+    def test_stack_rows_are_value_db(self):
+        fields = [SpatialShadowingField(seed=s) for s in (3, 4, 5)]
+        stack = SpatialShadowingField.stack(fields)
+        rng = np.random.default_rng(2)
+        for x, y in rng.uniform(-400, 400, size=(200, 2)).tolist():
+            want = np.array([f.value_db(x, y) for f in fields])
+            assert stack.values_db(x, y).tobytes() == want.tobytes()
+
     def test_deterministic_given_seed(self):
         a = SpatialShadowingField(seed=7)
         b = SpatialShadowingField(seed=7)
