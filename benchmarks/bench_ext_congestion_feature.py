@@ -10,7 +10,7 @@ carrier load feature.
 
 import numpy as np
 
-from repro.core.features import FeatureExtractor
+from repro import fstore
 from repro.datasets.generate import generate_datasets
 from repro.ml.gbdt import GBDTRegressor
 from repro.ml.metrics import mae
@@ -36,11 +36,10 @@ def test_ext_carrier_load_feature(benchmark, capsys):
         rounds=1, iterations=1,
     )
 
-    extractor = FeatureExtractor()
-    X_base = extractor.extract(table, "L+M").X
+    X_base = fstore.extract(table, "L+M").X
     load = np.asarray(table["carrier_load_ues"], dtype=float)
     X_loaded = np.column_stack([X_base, load])
-    y = extractor.target(table)
+    y = fstore.target(table)
 
     def fit_eval(X):
         X_tr, X_te, y_tr, y_te = train_test_split(X, y, test_size=0.3,

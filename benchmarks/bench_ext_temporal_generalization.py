@@ -10,7 +10,7 @@ strict campaign-to-campaign split.
 
 import numpy as np
 
-from repro.core.features import FeatureExtractor
+from repro import fstore
 from repro.datasets.generate import generate_datasets
 from repro.ml.gbdt import GBDTRegressor
 from repro.ml.metrics import mae
@@ -33,11 +33,10 @@ def test_ext_temporal_generalization(benchmark, capsys):
     day1 = benchmark.pedantic(lambda: _dataset(101), rounds=1, iterations=1)
     day2 = _dataset(202)
 
-    extractor = FeatureExtractor()
-    X1 = extractor.extract(day1, "T+M").X
-    y1 = extractor.target(day1)
-    X2 = extractor.extract(day2, "T+M").X
-    y2 = extractor.target(day2)
+    X1 = fstore.extract(day1, "T+M").X
+    y1 = fstore.target(day1)
+    X2 = fstore.extract(day2, "T+M").X
+    y2 = fstore.target(day2)
 
     def gdbt():
         return GBDTRegressor(n_estimators=120, max_depth=6,

@@ -108,8 +108,14 @@ _OBS_RECORDS: dict[str, dict] = {}
 
 @pytest.fixture(autouse=True)
 def _obs_bench_record(request):
-    """Record each bench's wall-clock and the registry state it left."""
+    """Record each bench's wall-clock and the metrics it emitted.
+
+    The registry is process-wide, so it is reset as each bench starts:
+    otherwise every record would also carry every earlier bench's
+    metrics when several benches share a session.
+    """
     obs.set_enabled(True)
+    obs.get_registry().reset()
     t0 = time.perf_counter()
     yield
     _OBS_RECORDS[request.node.name] = bench_obs_record(

@@ -24,7 +24,8 @@ prediction error <= 20%, streaming QoE gets close to optimal.
 
 import numpy as np
 
-from repro.core import FeatureExtractor, Lumos5G, ModelConfig
+from repro import fstore
+from repro.core import Lumos5G, ModelConfig
 from repro.datasets import generate_datasets
 from repro.datasets.cleaning import clean
 from repro.datasets.frame import Table
@@ -98,7 +99,6 @@ def main() -> None:
     q_model = GBDTQuantileRegressor(quantile=0.1, n_estimators=150,
                                     max_depth=6, learning_rate=0.08,
                                     random_state=0).fit(X, y)
-    extractor = FeatureExtractor()
     hm = HarmonicMeanPredictor(window=5)
 
     env = build_airport()
@@ -106,7 +106,7 @@ def main() -> None:
 
     def predictions_for(walk):
         actual = np.asarray(walk["throughput_mbps"], dtype=float)
-        features = extractor.extract(walk, "T+M+C").X
+        features = fstore.extract(walk, "T+M+C").X
         lumos = model.predict(features)
         lumos_q = q_model.predict(features)
         harmonic = hm.predict_trace(actual)

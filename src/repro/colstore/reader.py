@@ -8,7 +8,7 @@ out-of-core pipeline (and ``benchmarks/bench_colstore.py``) is built on.
 
 ``read_table`` is the explicit, opt-in gather-everything escape hatch
 for small stores and tests; library streaming paths must not call it
-(``tools/check_colstore.py`` enforces that no full-manifest concat
+(lint rule ``colstore.full-gather``: no full-manifest concat
 hides in this module outside ``read_table`` itself).
 """
 

@@ -4,7 +4,6 @@ from repro.core.features import (
     COMBINATIONS,
     GROUP_MEMBERS,
     PRIMARY_GROUPS,
-    FeatureExtractor,
     FeatureMatrix,
     parse_combination,
     requires_panel_survey,
@@ -59,7 +58,6 @@ __all__ = [
     "DEFAULT_CLASSES",
     "DEFAULT_THRESHOLDS",
     "FRAMEWORK_MODELS",
-    "FeatureExtractor",
     "FeatureMatrix",
     "GROUP_MEMBERS",
     "HIGH",

@@ -1,4 +1,4 @@
-"""Feature groups and their composition (Table 6) -- the training facade.
+"""Feature groups and their composition (Table 6).
 
 Lumos5G's central design idea is *composability*: features are organized
 into primary groups that can be combined per use case --
@@ -13,34 +13,25 @@ into primary groups that can be combined per use case --
 and the paper's evaluated combinations **L+M**, **T+M**, **L+M+C**,
 **T+M+C**.
 
-The *definitions* live in the feature store (:mod:`repro.fstore`,
+The definitions live in the feature store (:mod:`repro.fstore`,
 docs/feature_store.md) as declarative, versioned feature views with
 content-addressed fingerprints, executed identically offline (batch
-materialization) and online (single-row serving).
-:class:`FeatureExtractor` is the thin training-side facade over those
-views, kept for its established API; new code should consume
-``repro.fstore`` directly -- ``tools/check_fstore.py`` keeps further
-``FeatureExtractor`` use out of the library so the store stays the
-single source of feature truth.
+materialization) and online (single-row serving); callers materialize a
+combination with :func:`repro.fstore.extract`.
 """
 
 from __future__ import annotations
 
-from repro.datasets.frame import Table
-from repro.fstore.ops import lag_within_runs
 from repro.fstore.views import (
     COMBINATIONS,
     FeatureMatrix,
     GROUP_MEMBERS,
     PRIMARY_GROUPS,
-    combination_view,
     parse_combination,
-    target as _target,
 )
 
 __all__ = [
     "COMBINATIONS",
-    "FeatureExtractor",
     "FeatureMatrix",
     "GROUP_MEMBERS",
     "PRIMARY_GROUPS",
@@ -53,43 +44,3 @@ def requires_panel_survey(spec: str) -> bool:
     """T-group features need surveyed panel locations (absent at the Loop)."""
     return "T" in parse_combination(spec)
 
-
-class FeatureExtractor:
-    """Materialize feature-group combinations from a cleaned table.
-
-    A facade over :func:`repro.fstore.combination_view`: the same view
-    definitions (and therefore bit-identical values) that the offline
-    materializer and the online serving path execute.
-
-    Parameters
-    ----------
-    past_throughput_lags:
-        Number of previous per-second throughput samples included by the
-        C group (within-run lags; the first seconds of a run repeat the
-        earliest available sample).
-    """
-
-    def __init__(self, past_throughput_lags: int = 5):
-        if past_throughput_lags < 1:
-            raise ValueError("need at least one throughput lag")
-        self.past_throughput_lags = past_throughput_lags
-
-    def view(self, spec: str):
-        """The :class:`repro.fstore.FeatureView` behind a combination."""
-        return combination_view(spec, self.past_throughput_lags)
-
-    def extract(self, table: Table, spec: str) -> FeatureMatrix:
-        """Build the feature matrix for a combination like ``"T+M+C"``."""
-        from repro import fstore
-
-        return fstore.extract(table, spec, self.past_throughput_lags)
-
-    def target(self, table: Table):
-        """The regression target: current-second throughput in Mbps."""
-        return _target(table)
-
-
-#: Kept under its historical name for existing callers/tests; the
-#: canonical implementation is :func:`repro.fstore.ops.lag_within_runs`.
-def _lag_within_runs(values, run_ids, lag):
-    return lag_within_runs(values, run_ids, lag=lag)

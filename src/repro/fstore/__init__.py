@@ -28,9 +28,8 @@ version bump.
 Consumers: ``core.features``/``core.pipeline`` (training),
 ``core.transfer``, ``core.mapstore``, ``analysis``,
 ``ml.preprocessing.PredictionPipeline.predict_row`` and the ``serve``
-stack ("row" requests).  ``tools/check_fstore.py`` keeps the online
-path table-free and feature recomputation out of the rest of the
-library.
+stack ("row" requests).  ``tools/lint.py`` (rule
+``fstore.online-tables``) keeps the online path table-free.
 """
 
 from repro.fstore.ops import OPS, PAST_THROUGHPUT_FIELD, Op

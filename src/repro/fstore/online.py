@@ -6,7 +6,7 @@ serving stack (``repro.serve``) and :class:`PredictionPipeline`:
 * ``vector(row)`` maps a plain dict -- raw telemetry fields, plus the
   ``past_throughput`` history list for the C group -- to a float64
   feature vector **without allocating a table** (this module must never
-  import ``repro.datasets``; ``tools/check_fstore.py`` enforces it).
+  import ``repro.datasets``; lint rule ``fstore.online-tables``).
   Values are bit-identical to offline materialization for the same
   logical row: both paths execute the same op kernels.
 * An optional **vector cache** (the same :class:`repro.par.NpzCache`

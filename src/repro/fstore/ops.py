@@ -26,7 +26,7 @@ and parameters, so the golden-fingerprint tests fail loudly if a
 definition changes silently.
 
 This module is part of the **online path**: it must never import
-``repro.datasets`` (``tools/check_fstore.py`` enforces that).
+``repro.datasets`` (lint rule ``fstore.online-tables``).
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ composable into the evaluated combinations via
 ``"T+M+C"``).
 
 This module is part of the **online path**: it must never import
-``repro.datasets`` (``tools/check_fstore.py``); tables are duck-typed
+``repro.datasets`` (lint rule ``fstore.online-tables``); tables are duck-typed
 as ``table[column] -> np.ndarray`` mappings with a length.
 """
 

@@ -21,8 +21,8 @@ over a fleet of :class:`~repro.gateway.shard.PredictorShard`\\ s:
 
 The event loop itself never blocks: parsing, routing and admission are
 in-memory; prediction runs on shard batcher threads (or worker
-processes); waiting is always an ``await``.  ``tools/check_gateway.py``
-lint-enforces the no-blocking-calls rule.
+processes); waiting is always an ``await``.  ``tools/lint.py``
+enforces it (rule ``gateway.async-blocking``).
 
 Entry points: :meth:`handle_connection` (one async line stream in,
 ordered responses out -- the unit the tests drive),

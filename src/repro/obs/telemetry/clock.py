@@ -7,7 +7,7 @@ boundary, burn-rate evaluation and drift decision unit-testable without
 sleeping -- tests pass a :class:`ManualClock` and advance it explicitly.
 
 This module is the *only* place in ``repro.obs.telemetry`` allowed to
-touch ``time`` (``tools/check_obs.py`` enforces it): everything else
+touch ``time`` (lint rule ``obs.telemetry-clock``): everything else
 must thread a ``clock`` parameter through.
 """
 

@@ -14,8 +14,8 @@ Three pieces (docs/parallelism.md has the full guide):
 
 Consumers: ``sim.collection`` (per-pass campaign fan-out), ``ml.forest``
 (per-tree fitting), ``ml.model_selection`` (folds x grid points) and
-``datasets.generate`` (per-area generation).  ``tools/check_par.py``
-keeps raw ``multiprocessing.Pool`` use out of the rest of the library.
+``datasets.generate`` (per-area generation).  ``tools/lint.py``
+(``par.raw-pool``) keeps raw ``multiprocessing.Pool`` use out of the rest of the library.
 """
 
 from repro.par.cache import NpzCache, fingerprint

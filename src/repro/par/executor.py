@@ -3,7 +3,7 @@
 ``pmap(fn, items)`` maps a picklable, *pure* function over a task list on
 a ``multiprocessing`` pool and returns results in input order.  It is the
 only place in the repo allowed to own a process pool
-(``tools/check_par.py`` enforces that).
+(``tools/lint.py`` rule ``par.raw-pool``).
 
 Execution mode is an implementation detail, never a semantic one: task
 functions must derive their randomness from the task item itself (see

@@ -19,7 +19,7 @@ the full guide):
 Consumers: ``par.pmap`` (chunk retry + serial rescue), ``par.cache``
 (corruption seam), ``serve`` (request deadlines, model-load retry with
 quarantine + version fallback, service breaker) and ``sim.collection``
-(per-pass checkpointing).  ``tools/check_resil.py`` keeps ad-hoc
+(per-pass checkpointing).  ``tools/lint.py`` (``resil.*``) keeps ad-hoc
 ``time.sleep`` retry loops and silent ``except Exception`` swallows out
 of the rest of the library.
 """

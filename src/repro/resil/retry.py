@@ -19,7 +19,7 @@ counters (docs/robustness.md has the full semantics):
   whether to close it again.
 
 This module is the only place in ``src/repro/`` allowed to sleep in a
-retry loop (``tools/check_resil.py`` enforces that); callers inject a
+retry loop (lint rule ``resil.raw-sleep``); callers inject a
 ``sleep`` callable in tests so no test ever actually waits.
 """
 

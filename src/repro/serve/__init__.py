@@ -17,7 +17,7 @@ maps "augmented with the ML models" that UEs and apps query in real time
 
 Everything on the request path is instrumented with ``repro.obs``
 (``serve.requests_total``, ``serve.batch_size``, ``serve.request_latency_s``,
-cache hit counters); ``tools/check_serve.py`` lints that this package
+cache hit counters); lint rule ``serve.no-fit`` checks that this package
 never fits a model -- serving is read-only by construction.
 """
 

@@ -64,8 +64,8 @@ REJECTED_SUFFIX = ".rejected"
 
 #: Per-name rollout state file: the serving pin plus shadow/canary
 #: markers.  Written only via ``ModelRegistry._write_rollout_state``
-#: (temp file + ``os.replace``; tools/check_rollout.py enforces the
-#: single-writer rule), so every registry transition is atomic.
+#: (temp file + ``os.replace``; lint rule rollout.state-writer
+#: enforces it), so every registry transition is atomic.
 ROLLOUT_STATE_FILE = "serving.json"
 
 #: Default backoff for load_resilient: fast, bounded, deterministic.

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import fstore
 from repro.core.features import (
     COMBINATIONS,
     GROUP_MEMBERS,
-    FeatureExtractor,
     parse_combination,
     requires_panel_survey,
 )
@@ -51,13 +51,15 @@ class TestParseCombination:
 
 
 class TestFeatureExtractor:
+    """Table-6 group materialization through ``fstore.extract``."""
+
     def test_location_features(self, airport_dataset):
-        fm = FeatureExtractor().extract(airport_dataset, "L")
+        fm = fstore.extract(airport_dataset, "L")
         assert fm.names == ("pixel_x", "pixel_y")
         assert fm.X.shape == (len(airport_dataset), 2)
 
     def test_mobility_uses_cyclic_compass(self, airport_dataset):
-        fm = FeatureExtractor().extract(airport_dataset, "M")
+        fm = fstore.extract(airport_dataset, "M")
         assert "compass_sin" in fm.names and "compass_cos" in fm.names
         sin_idx = fm.names.index("compass_sin")
         cos_idx = fm.names.index("compass_cos")
@@ -65,13 +67,12 @@ class TestFeatureExtractor:
         np.testing.assert_allclose(norms, 1.0, atol=1e-9)
 
     def test_tower_features_present(self, airport_dataset):
-        fm = FeatureExtractor().extract(airport_dataset, "T")
+        fm = fstore.extract(airport_dataset, "T")
         assert "ue_panel_distance" in fm.names
         assert fm.X.shape[1] == 4
 
     def test_connection_lags_do_not_leak_future(self, airport_dataset):
-        ext = FeatureExtractor(past_throughput_lags=2)
-        fm = ext.extract(airport_dataset, "C")
+        fm = fstore.extract(airport_dataset, "C", past_throughput_lags=2)
         lag1 = fm.X[:, fm.names.index("past_throughput_1")]
         tput = np.asarray(airport_dataset["throughput_mbps"], dtype=float)
         run_ids = np.asarray(airport_dataset["run_id"])
@@ -83,21 +84,20 @@ class TestFeatureExtractor:
         assert lag1[idx[0]] == tput[idx[0]]
 
     def test_combination_concatenates_in_order(self, airport_dataset):
-        ext = FeatureExtractor()
-        lm = ext.extract(airport_dataset, "L+M")
+        lm = fstore.extract(airport_dataset, "L+M")
         assert lm.names[:2] == ("pixel_x", "pixel_y")
         assert lm.X.shape[1] == 5
 
     def test_unavailable_signal_becomes_nan(self, airport_dataset):
-        fm = FeatureExtractor().extract(airport_dataset, "C")
+        fm = fstore.extract(airport_dataset, "C")
         col = fm.X[:, fm.names.index("nr_ss_rsrp")]
         # The sim produces some LTE seconds -> some missing NR reports.
         assert np.isnan(col).any()
         assert np.isfinite(col).any()
 
-    def test_lag_validation(self):
-        with pytest.raises(ValueError):
-            FeatureExtractor(past_throughput_lags=0)
+    def test_lag_validation(self, airport_dataset):
+        with pytest.raises(ValueError, match="throughput lag"):
+            fstore.extract(airport_dataset, "C", past_throughput_lags=0)
 
 
 class TestThroughputClasses:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.features import FeatureExtractor
+from repro import fstore
 from repro.datasets.cleaning import pixelize
 from repro.datasets.public import load_public_dataset
 
@@ -79,6 +79,6 @@ class TestLoader:
         f = tmp_path / "loop.csv"
         write_public_csv(f, [0, 1], n_per_run=30)
         table = pixelize(load_public_dataset(f))
-        fm = FeatureExtractor().extract(table, "L+M+C")
+        fm = fstore.extract(table, "L+M+C")
         assert fm.X.shape[0] == 60
         assert np.isfinite(fm.X[:, fm.names.index("pixel_x")]).all()

@@ -21,7 +21,7 @@ from _gateway_helpers import (
     conn_lines,
     drive,
 )
-from repro.gateway import AsyncGateway, GatewayConfig
+from repro.gateway import AsyncGateway, GatewayConfig, steady
 
 
 class TestOrderedDelivery:
@@ -194,10 +194,22 @@ class TestHotSwapStamping:
         """Swap mid-load: each prediction matches exactly the model of
         the version stamped on it -- old or new, never a mixture."""
         old, new = SumModel(), ScaledSumModel(10.0)
+        half = sum(len(steady(3000.0, 0.15, seed=17 + c))
+                   for c in range(3)) // 2
 
         async def swap_mid_load(gateway):
-            await asyncio.sleep(0.05)
-            gateway.swap(new, 2)
+            # Swap once half the schedule's requests are admitted, not at
+            # a wall-clock time: a loader running behind schedule admits
+            # its backlog without yielding, so a timed swap can land
+            # after the last admission.
+            admit = gateway._admit
+
+            def admit_then_swap(line):
+                if gateway.collect_stats().requests == half:
+                    gateway.swap(new, 2)
+                return admit(line)
+
+            gateway._admit = admit_then_swap
 
         responses, lines, stats = drive(
             old, shards=2, n_conns=3, rate_hz=3000.0, horizon_s=0.15,
