@@ -18,7 +18,9 @@ bounded-memory pipeline (docs/colstore.md):
 6. ``fit_binned_stream`` on the GBDT / random-forest families, which
    re-read that ``(codes, y)`` stream once per pass -- one memory-mapped
    uint8 shard plus the label column per chunk, never the float
-   features -- and keep only O(rows) driver state,
+   features -- and keep only O(rows) driver state.  Both shards come
+   through :class:`ChunkReader`, which parsed their ``.npy`` headers
+   once, when it was opened, so a pass only maps each chunk's data,
 7. the training-time drift baseline (and, for a refit, the training
    error), scored from the same stream through the models' binned
    entry points: the float features are read once, to bin them.
@@ -83,16 +85,15 @@ def bin_store(feat_reader: ChunkReader, max_bins: int = 256,
 _CODES = "codes"
 
 
-def _bin_once(feat_reader: ChunkReader, binner, out_dir) -> list[str]:
-    """Bin every feature chunk once into a codes store; its shard paths.
+def _bin_once(feat_reader: ChunkReader, binner, out_dir) -> ChunkReader:
+    """Bin every feature chunk once into a codes store; a reader over it.
 
     The store has one ``(rows, d)`` uint8 column per chunk, written by
     :class:`ShardWriter` at the feature store's chunk boundaries, and
     its manifest's ``cache_key`` fingerprints (feature-store digest x
     bin edges) -- so a re-run over the same features and edges reuses
     the codes, and a different binner (a refit's frozen one) rewrites
-    them.  Costs n*d bytes of disk.  The paths are ``str`` for cheap
-    ``np.load`` calls.
+    them.  Costs n*d bytes of disk.
     """
     if binner.edges_ is None:
         raise RuntimeError("binner is not fitted")
@@ -115,13 +116,14 @@ def _bin_once(feat_reader: ChunkReader, binner, out_dir) -> list[str]:
         with obs.span("colstore.bin_codes", rows=len(feat_reader)):
             for X in feature_matrix_chunks(feat_reader):
                 writer.append({_CODES: binner.transform(X)})
-            manifest = writer.finalize()
+            writer.finalize()
+    codes = ChunkReader(root)
     f_rows = [c.rows for c in feat_reader.manifest.chunks]
-    c_rows = [c.rows for c in manifest.chunks]
+    c_rows = [c.rows for c in codes.manifest.chunks]
     if c_rows != f_rows:
         raise ValueError(f"codes chunks {c_rows} do not match feature "
                          f"chunks {f_rows}")
-    return [str(root / c.files[_CODES]) for c in manifest.chunks]
+    return codes
 
 
 def binned_label_chunks(feat_reader: ChunkReader, label_reader: ChunkReader,
@@ -133,10 +135,10 @@ def binned_label_chunks(feat_reader: ChunkReader, label_reader: ChunkReader,
     boundaries, and the manifests are checked here.  The features are
     binned once, here, into a codes store under ``work_dir/codes``
     (:func:`_bin_once`); every pass then maps one uint8 shard per chunk
-    plus the label column, never the float features.  ``label_of``
-    maps the raw label column to training targets (identity by
-    default; the classification path turns throughput into class
-    names).
+    plus the label column, never the float features, through readers
+    that parsed each shard's header once.  ``label_of`` maps the raw
+    label column to training targets (identity by default; the
+    classification path turns throughput into class names).
     """
     f_rows = [c.rows for c in feat_reader.manifest.chunks]
     l_rows = [c.rows for c in label_reader.manifest.chunks]
@@ -145,14 +147,14 @@ def binned_label_chunks(feat_reader: ChunkReader, label_reader: ChunkReader,
             f"feature/label stores are not chunk-aligned: {f_rows} vs "
             f"{l_rows}"
         )
-    paths = _bin_once(feat_reader, binner,
+    codes = _bin_once(feat_reader, binner,
                       os.path.join(str(work_dir), "codes"))
 
     def chunks():
-        labels = label_reader.iter_chunks([LABEL_COLUMN])
-        for path in paths:
-            y = np.asarray(next(labels)[LABEL_COLUMN], dtype=float)
-            yield (np.load(path, mmap_mode="r"),
+        for i in range(codes.n_chunks):
+            y = np.asarray(label_reader.read_column(i, LABEL_COLUMN),
+                           dtype=float)
+            yield (codes.read_column(i, _CODES),
                    label_of(y) if label_of else y)
 
     return chunks

@@ -21,7 +21,8 @@ Object-dtype columns (Python strings) are converted to fixed-width
 ``<U`` arrays on write so every shard is a plain, memory-mappable
 buffer.  A column may be N-D with rows along its first axis (the
 pipeline's ``(rows, d)`` uint8 codes store); :class:`ChunkReader`
-Tables only hold 1-D columns, so such shards are mapped by path.
+Tables only hold 1-D columns, so such shards are read one at a time
+with :meth:`ChunkReader.read_column`.
 """
 
 from __future__ import annotations

@@ -17,7 +17,6 @@ factorized once and reused for every prediction.
 from __future__ import annotations
 
 import numpy as np
-from scipy import linalg
 
 
 def spherical_variogram(h: np.ndarray, nugget: float, sill: float,
@@ -110,6 +109,8 @@ class OrdinaryKriging:
         K[n, n] = 0.0
         # Tiny jitter keeps the saddle-point system factorizable.
         K[:n, :n] += np.eye(n) * 1e-8
+        from scipy import linalg  # only this baseline needs scipy
+
         self._lu = linalg.lu_factor(K)
         self._coords = coords
         self._values = values
@@ -128,5 +129,7 @@ class OrdinaryKriging:
         B[:n] = spherical_variogram(d, self.nugget_, self.sill_,
                                     self.range_).T
         B[n] = 1.0
+        from scipy import linalg
+
         weights = linalg.lu_solve(self._lu, B)[:n]
         return weights.T @ self._values

@@ -14,8 +14,12 @@ one uint8 shard per chunk.  Three claims:
   store replaces, kept here as the oracle).
 * **Content addressing** -- the codes store is reused for the same
   features and edges and rewritten for a different binner.
+* **Header parsed once** -- each codes and label shard's ``.npy`` header
+  is parsed once, by the readers the stream is built on, and never
+  during the fit's or the scoring's passes.
 """
 
+import collections
 import json
 import math
 
@@ -132,6 +136,44 @@ class TestReadCountGuard:
         counts = _Counts(monkeypatch, feats)
         binned_label_chunks(feats, cleaned, binner, tmp_path)
         assert counts.take() == (0, 0)
+
+
+class TestHeaderParsedOnce:
+    @pytest.mark.parametrize("family", [GBDTRegressor, RandomForestRegressor])
+    def test_no_header_parse_during_passes(self, raw_store, stores,
+                                           tmp_path, monkeypatch, family):
+        # Fresh readers over the ``stores`` fixture's feature and
+        # cleaned stores, opened while headers are counted.
+        # Count every .npy header numpy parses, by file: np.load and the
+        # public header readers all go through this one module function.
+        npy_format = np.lib.format.read_array_header_1_0.__globals__
+        parse = npy_format["_read_array_header"]
+        parsed = collections.Counter()
+
+        def counted(fp, *args, **kwargs):
+            parsed[fp.name] += 1
+            return parse(fp, *args, **kwargs)
+
+        monkeypatch.setitem(npy_format, "_read_array_header", counted)
+        feats = ChunkReader(raw_store / "features")
+        cleaned = ChunkReader(raw_store / "clean")
+        binner = bin_store(feats)
+        chunks = binned_label_chunks(feats, cleaned, binner, tmp_path)
+        codes = Manifest.load(tmp_path / "codes")
+        streamed = {str(tmp_path / "codes" / c.files["codes"])
+                    for c in codes.chunks}
+        streamed |= {str(raw_store / "clean" / c.files[LABEL_COLUMN])
+                     for c in cleaned.manifest.chunks}
+        assert len(streamed) == 2 * N_CHUNKS
+        assert {p: parsed[p] for p in streamed} == dict.fromkeys(streamed, 1)
+        assert max(parsed.values()) == 1
+        parsed.clear()
+        est = family(n_estimators=5, max_depth=4,
+                     random_state=SEED).fit_binned_stream(chunks, binner)
+        streamed_prediction_baseline(est, feats, chunks=chunks)
+        streamed_error(est, feats, cleaned, chunks=chunks)
+        assert est.fit_telemetry_
+        assert parsed == {}
 
 
 class TestScoringTheCodes:

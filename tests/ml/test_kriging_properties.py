@@ -1,5 +1,10 @@
 """Property-style tests for ordinary kriging invariants."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import linalg
@@ -56,3 +61,25 @@ class TestKrigingInvariants:
             q + shift
         )
         np.testing.assert_allclose(a, b, atol=1e-6)
+
+
+def test_scipy_stays_out_of_every_other_process():
+    """Only the kriging baseline loads scipy, and only when it runs.
+
+    The CLI, the gateway, the online feature path and the store
+    pipeline import ``repro.ml``; none of them may pay scipy's import
+    time and memory for a baseline they never fit.
+    """
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    code = ("import sys\n"
+            "import repro.cli, repro.gateway, repro.fstore\n"
+            "import repro.colstore.pipeline, repro.ml\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' "
+            "or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
