@@ -1,17 +1,14 @@
 """Feature-store throughput: offline materialization and online latency.
 
-Runs the T+M+C view over the bench Airport campaign three ways --
-uncached batch compute, a second cache-hit materialization, and the
+Runs the T+M+C view over the bench Airport campaign two ways -- the
+in-memory batch path (:meth:`FeatureView.transform_table`) and the
 per-request online path (dict -> vector, no table) -- and proves the
 bit-parity guarantee on real campaign data while at it.
 
 Wall clocks and latency quantiles land as obs gauges in
 ``benchmarks/results/obs_metrics.json``:
 
-* ``fstore.bench.offline_rows_per_s`` -- cold (cache-miss) batch
-  materialization;
-* ``fstore.bench.offline_cached_rows_per_s`` -- the same call served
-  from the NpzCache shard;
+* ``fstore.bench.offline_rows_per_s`` -- batch ``transform_table``;
 * ``fstore.bench.online_vectors_per_s`` -- single-row vectors through
   :class:`OnlineFeatureServer`;
 * ``fstore.bench.online_p50_ms`` / ``online_p99_ms`` -- per-vector
@@ -25,7 +22,6 @@ import numpy as np
 from repro import obs
 from repro.fstore import (
     PAST_THROUGHPUT_FIELD,
-    OfflineMaterializer,
     OnlineFeatureServer,
     combination_view,
 )
@@ -49,23 +45,16 @@ def _online_rows(table, n):
     return rows
 
 
-def test_fstore_paths(datasets, benchmark, tmp_path, capsys):
+def test_fstore_paths(datasets, benchmark, capsys):
     table = datasets["Airport"]
     n = len(table)
     view = combination_view("T+M+C", past_throughput_lags=5)
-    mat = OfflineMaterializer(view, cache=str(tmp_path / "shards"))
 
-    # Cold: full batch compute + shard write.
+    # Offline: the whole table through the batch kernels.
     t0 = time.perf_counter()
-    cold = benchmark.pedantic(lambda: mat.materialize(table),
-                              rounds=1, iterations=1)
-    cold_s = time.perf_counter() - t0
-
-    # Warm: the same request served from the content-addressed shard.
-    t0 = time.perf_counter()
-    warm = mat.materialize(table)
-    warm_s = time.perf_counter() - t0
-    assert warm.X.tobytes() == cold.X.tobytes()
+    offline = benchmark.pedantic(lambda: view.transform_table(table),
+                                 rounds=1, iterations=1)
+    offline_s = time.perf_counter() - t0
 
     # Online: per-request dict -> vector, measured end to end.
     server = OnlineFeatureServer(view)
@@ -78,29 +67,25 @@ def test_fstore_paths(datasets, benchmark, tmp_path, capsys):
     # replay truncates history to 8 samples >= the 5 lags, so values
     # still match the offline within-run lag columns exactly.)
     online_X = np.vstack(vectors)
-    assert online_X.tobytes() == cold.X[:len(rows)].tobytes()
+    assert online_X.tobytes() == offline.X[:len(rows)].tobytes()
 
     hist = obs.get_registry().histogram("fstore.online.vector_s")
     p50_ms = hist.quantile(0.5) * 1e3
     p99_ms = hist.quantile(0.99) * 1e3
 
-    offline_rps = n / cold_s
-    cached_rps = n / warm_s
+    offline_rps = n / offline_s
     online_vps = len(rows) / online_s
 
     obs.set_gauge("fstore.bench.n_rows", float(n))
     obs.set_gauge("fstore.bench.offline_rows_per_s",
                   round(offline_rps, 1))
-    obs.set_gauge("fstore.bench.offline_cached_rows_per_s",
-                  round(cached_rps, 1))
     obs.set_gauge("fstore.bench.online_vectors_per_s",
                   round(online_vps, 1))
     obs.set_gauge("fstore.bench.online_p50_ms", round(p50_ms, 4))
     obs.set_gauge("fstore.bench.online_p99_ms", round(p99_ms, 4))
 
     rows_out = [
-        ["offline cold", f"{cold_s:.3f}", f"{offline_rps:.0f}", "-"],
-        ["offline cached", f"{warm_s:.3f}", f"{cached_rps:.0f}", "-"],
+        ["offline batch", f"{offline_s:.3f}", f"{offline_rps:.0f}", "-"],
         ["online per-row", f"{online_s:.3f}", f"{online_vps:.0f}",
          f"p50={p50_ms:.3f} p99={p99_ms:.3f}"],
     ]
@@ -110,7 +95,3 @@ def test_fstore_paths(datasets, benchmark, tmp_path, capsys):
     note = (f"\nT+M+C view, {n} Airport rows offline, "
             f"{len(rows)} online vectors; offline==online bit-exact")
     emit("fstore_paths", table_txt + note, capsys)
-
-    assert cached_rps > offline_rps, (
-        "cache-hit materialization should beat recompute"
-    )

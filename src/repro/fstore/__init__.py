@@ -13,14 +13,15 @@ full guide):
 * :mod:`repro.fstore.ops` -- the pure op registry both execution modes
   share (cast, cyclic sin/cos, sentinel-NaN, equality flag,
   within-run lag).
-* :mod:`repro.fstore.offline` -- chunked, ``pmap``-parallel,
-  ``NpzCache``-persisted batch materialization for training/campaigns.
+* :mod:`repro.fstore.offline` -- chunk-by-chunk, content-addressed
+  materialization of a columnar campaign store (in memory,
+  :meth:`FeatureView.transform_table` is the batch path).
 * :mod:`repro.fstore.online` -- the single-row, no-table request path
   for serving, with ``repro.resil``-guarded cache reads.
 
 The **parity guarantee**: offline-materialized and online-computed
 features are bit-identical float64 for the same logical row, invariant
-to worker count, chunking and cache state -- proven by
+to chunking and cache state -- proven by
 ``tests/fstore/`` against property-generated rows, with golden view
 fingerprints that fail loudly when a definition changes without a
 version bump.
@@ -50,11 +51,7 @@ from repro.fstore.views import (
     view_from_dict,
     view_of,
 )
-from repro.fstore.offline import (
-    OfflineMaterializer,
-    materialize,
-    table_digest,
-)
+from repro.fstore.offline import OfflineMaterializer
 from repro.fstore.online import OnlineFeatureServer
 
 __all__ = [
@@ -75,9 +72,7 @@ __all__ = [
     "combination_view",
     "extract",
     "group_view",
-    "materialize",
     "parse_combination",
-    "table_digest",
     "target",
     "view_from_dict",
     "view_of",
@@ -87,8 +82,8 @@ __all__ = [
 def extract(table, spec: str, past_throughput_lags: int = 5) -> FeatureMatrix:
     """One-shot: the feature matrix of a Table-6 combination.
 
-    The in-memory training-path convenience (no cache, no chunking);
-    heavy/batched callers use :class:`OfflineMaterializer` directly.
+    The in-memory training-path convenience; out-of-core callers use
+    :meth:`OfflineMaterializer.materialize_store`.
     """
     from repro import obs
 

@@ -1,153 +1,44 @@
-"""Offline batch materialization of feature views.
+"""Out-of-core batch materialization of feature views.
 
-``OfflineMaterializer`` turns ``(view, table)`` into the training-side
-feature matrix the same way every time:
+``OfflineMaterializer`` runs one view over a columnar campaign store
+(:class:`repro.colstore.ChunkReader`) one chunk at a time and writes a
+feature store beside it:
 
-* **content-addressed** -- the cache key fingerprints the view's
-  canonical definition *and* the table's column bytes, so any change to
-  either regenerates rather than silently loading stale features;
-* **chunked** -- rowwise ops run per row-chunk (fanned out over
-  :func:`repro.par.pmap` when ``workers`` > 1); windowed ops (the
-  past-throughput lags) are computed once over the full column so run
-  boundaries never straddle a chunk seam.  Results are bit-identical at
-  any worker count and any chunk size because every chunk is a pure
-  function of its row slice;
-* **persisted** -- shards go through the existing
-  :class:`repro.par.NpzCache` (atomic, fsynced, corruption-tolerant)
-  keyed by the materialization fingerprint;
+* **content-addressed** -- the output manifest's ``cache_key``
+  fingerprints the view's canonical definition *and* the input
+  manifest's digest, so any change to either regenerates rather than
+  silently reusing stale features;
+* **chunk-safe** -- rowwise ops run through their batch kernels, the
+  windowed past-throughput lags through their stateful stream carry,
+  so results are bit-identical to :meth:`FeatureView.transform_table`
+  on the gathered table whatever the chunk size;
 * **observable** -- spans + ``fstore.*`` counters/gauges via
   ``repro.obs`` record rows, cache hits/misses and rows/sec.
 
-The parity harness (``tests/fstore/``) proves a materialized matrix is
-bit-identical to both the unchunked :meth:`FeatureView.transform_table`
-and the online per-row path, across cache hit/miss and worker counts.
+In memory, :meth:`FeatureView.transform_table` is the batch path.  The
+parity harness (``tests/fstore/``) proves both are bit-identical to the
+online per-row path.
 """
 
 from __future__ import annotations
 
-import hashlib
 import time
-from functools import partial
 
 import numpy as np
 
 from repro import obs
 from repro.fstore.ops import OPS
-from repro.fstore.views import FeatureMatrix, FeatureView, view_from_dict
-from repro.par import NpzCache, fingerprint, pmap
+from repro.fstore.views import FeatureView
+from repro.par import fingerprint
 
-__all__ = ["OfflineMaterializer", "materialize", "table_digest"]
-
-#: Default rows per materialization chunk.  Purely a scheduling knob:
-#: results never depend on it.
-DEFAULT_CHUNK_ROWS = 4096
-
-
-def table_digest(table, columns=None) -> str:
-    """SHA-256 over the named columns' dtype + bytes (order-sensitive).
-
-    Object (string) columns hash their UTF-8 joined values -- their raw
-    buffers are pointers and would not be stable across processes.
-    """
-    h = hashlib.sha256()
-    names = tuple(columns) if columns is not None else None
-    if names is None:
-        names = tuple(getattr(table, "column_names", None) or table.keys())
-    h.update(repr(len(table)).encode())
-    for name in names:
-        col = np.asarray(table[name])
-        h.update(name.encode())
-        h.update(str(col.dtype).encode())
-        if col.dtype == object:
-            h.update("\x1f".join(str(v) for v in col.tolist()).encode())
-        else:
-            h.update(np.ascontiguousarray(col).tobytes())
-    return h.hexdigest()
-
-
-def _rowwise_chunk(view_canonical: dict, columns: dict,
-                   bounds: tuple[int, int]) -> dict[str, np.ndarray]:
-    """Pure pmap task: rowwise feature columns for one row slice."""
-    start, stop = bounds
-    view = view_from_dict(view_canonical)
-    out: dict[str, np.ndarray] = {}
-    for f in view.features:
-        op = OPS[f.op]
-        if op.windowed:
-            continue
-        out[f.name] = op.apply_batch(
-            [np.asarray(columns[s][start:stop]) for s in f.source],
-            f.param_dict,
-        )
-    return out
+__all__ = ["OfflineMaterializer"]
 
 
 class OfflineMaterializer:
-    """Chunked, cached batch execution of one feature view."""
+    """Chunked, content-addressed store execution of one feature view."""
 
-    def __init__(
-        self,
-        view: FeatureView,
-        cache: NpzCache | str | None = None,
-        chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    ):
-        if chunk_rows < 1:
-            raise ValueError("chunk_rows must be >= 1")
+    def __init__(self, view: FeatureView):
         self.view = view
-        self.cache = (NpzCache(cache) if isinstance(cache, str)
-                      else cache)
-        self.chunk_rows = chunk_rows
-
-    # -- identity ----------------------------------------------------------- #
-
-    def cache_key(self, table) -> str:
-        """Content address of (view definition, table contents)."""
-        return fingerprint({
-            "fstore_materialize": 1,
-            "view": self.view.canonical(),
-            "table": table_digest(table, self.view.source_columns()),
-        })
-
-    # -- execution ----------------------------------------------------------- #
-
-    def materialize(self, table, workers: int | None = None) -> FeatureMatrix:
-        """The view's feature matrix for ``table`` (cached when possible)."""
-        view = self.view
-        with obs.span("fstore.materialize", view=view.name,
-                      rows=len(table)):
-            key = self.cache_key(table) if self.cache is not None else None
-            if key is not None:
-                entry = self.cache.load(key)
-                if entry is not None:
-                    features = entry.get("features", {})
-                    if tuple(features) == view.names:
-                        obs.inc("fstore.cache_hits_total")
-                        X = (np.column_stack(
-                            [features[n] for n in view.names])
-                            if view.names
-                            else np.empty((len(table), 0)))
-                        return FeatureMatrix(spec=view.name,
-                                             names=view.names, X=X)
-                    # A key collision with a different layout cannot be
-                    # trusted; fall through and regenerate.
-                    obs.inc("fstore.cache_layout_mismatches_total")
-                obs.inc("fstore.cache_misses_total")
-            t0 = time.perf_counter()
-            fm = self._compute(table, workers)
-            elapsed = time.perf_counter() - t0
-            if key is not None:
-                self.cache.save(key, {
-                    "features": {
-                        n: fm.X[:, i] for i, n in enumerate(view.names)
-                    },
-                })
-                obs.inc("fstore.shards_written_total")
-        obs.inc("fstore.materializations_total")
-        obs.inc("fstore.materialized_rows_total", len(table))
-        if elapsed > 0:
-            obs.set_gauge("fstore.materialize_rows_per_s",
-                          round(len(table) / elapsed, 1))
-        return fm
 
     def materialize_store(self, reader, out_dir):
         """Shard-by-shard materialization of a columnar campaign store.
@@ -223,49 +114,3 @@ class OfflineMaterializer:
             obs.set_gauge("fstore.materialize_rows_per_s",
                           round(len(reader) / elapsed, 1))
         return ChunkReader(out_dir)
-
-    def _compute(self, table, workers: int | None) -> FeatureMatrix:
-        view = self.view
-        n = len(table)
-        source = {s: np.asarray(table[s]) for s in view.source_columns()}
-        # Windowed columns (past-throughput lags) look back along runs,
-        # so they are computed over the full column, never per chunk.
-        windowed: dict[str, np.ndarray] = {}
-        for f in view.features:
-            op = OPS[f.op]
-            if op.windowed:
-                windowed[f.name] = op.apply_batch(
-                    [source[s] for s in f.source], f.param_dict
-                )
-        bounds = [(s, min(s + self.chunk_rows, n))
-                  for s in range(0, max(n, 1), self.chunk_rows)]
-        chunk_maps = pmap(
-            partial(_rowwise_chunk, view.canonical(), source),
-            bounds,
-            workers=workers,
-            label="fstore.materialize",
-        ) if bounds else []
-        cols = []
-        for f in view.features:
-            if f.name in windowed:
-                cols.append(windowed[f.name])
-            else:
-                cols.append(np.concatenate(
-                    [c[f.name] for c in chunk_maps]
-                ) if chunk_maps else np.empty(0))
-        X = np.column_stack(cols) if cols else np.empty((n, 0))
-        return FeatureMatrix(spec=view.name, names=view.names, X=X)
-
-
-def materialize(
-    view: FeatureView,
-    table,
-    cache: NpzCache | str | None = None,
-    *,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    workers: int | None = None,
-) -> FeatureMatrix:
-    """One-shot convenience over :class:`OfflineMaterializer`."""
-    return OfflineMaterializer(
-        view, cache=cache, chunk_rows=chunk_rows
-    ).materialize(table, workers=workers)

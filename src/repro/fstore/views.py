@@ -6,8 +6,8 @@ column(s), parameters.  Views are *definitions*, not computations: one
 definition is compiled into two execution modes,
 
 * :meth:`FeatureView.transform_table` -- vectorized over a whole
-  column table (the offline/training path; chunked + cached by
-  :class:`repro.fstore.offline.OfflineMaterializer`);
+  column table (the offline/training path; run chunk by chunk over a
+  columnar store by :class:`repro.fstore.offline.OfflineMaterializer`);
 * :meth:`FeatureView.transform_row` -- a single request dict to a
   float64 feature vector with no table allocation (the online/serving
   path; wrapped by :class:`repro.fstore.online.OnlineFeatureServer`),

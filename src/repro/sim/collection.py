@@ -23,13 +23,14 @@ an uninterrupted run because each pass owns an index-keyed seed.  The
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
 
 from repro import obs
-from repro.par import fingerprint, pmap, pmap_stream, root_sequence, spawn_seeds
+from repro.par import fingerprint, pmap_stream, root_sequence, spawn_seeds
 from repro.resil import faults
 from repro.resil.checkpoint import CheckpointStore, resolve_dir
 from repro.env.areas import build_area
@@ -105,44 +106,77 @@ def run_area_campaign(
 ):
     """Collect the full campaign for one area and return the raw log.
 
+    Every pass comes from one stream (:func:`_pass_stream`) in run
+    order; this function only chooses the sink the rows go to.
+
     ``workers`` fans the per-pass simulations out over a process pool
     (``None`` defers to ``REPRO_WORKERS``; <=1 runs serially).  Every
-    pass draws from its own index-keyed seed, so the returned Table is
+    pass draws from its own index-keyed seed, so the result is
     bit-identical at any worker count.
 
     ``checkpoint_dir`` (``None`` defers to ``REPRO_CHECKPOINT_DIR``;
     unset disables checkpointing) persists each completed pass so an
     interrupted campaign resumes from where it died -- bit-identical,
     since resumed passes are the very arrays the original run produced
-    and fresh passes re-derive the same per-index seeds.
+    and fresh passes re-derive the same per-index seeds.  Resume
+    behaves the same for both sinks.
 
-    ``store_dir`` switches to the out-of-core path: instead of building
-    one in-memory Table, each pass's columns are appended to a
-    :class:`repro.colstore.ShardWriter` as they complete (a bounded
+    Without ``store_dir`` the per-pass tables are concatenated into one
+    in-memory Table.  With it, each pass's columns are appended to a
+    :class:`repro.colstore.ShardWriter` as they arrive (a bounded
     ``pmap_stream`` window keeps only in-flight passes in RAM) and a
     :class:`repro.colstore.ChunkReader` over the finished store is
     returned.  Column values are identical to the in-memory path
     (``docs/colstore.md``); ``chunk_rows`` sets the shard size.
-    Checkpoint resume composes with the store path: resumed passes are
-    appended straight from their checkpoint arrays.
     """
     config = config or CampaignConfig()
     with obs.span("sim.campaign", area=env.name,
                   passes=config.passes_per_trajectory):
-        if store_dir is not None:
-            result = _store_area_campaign(
-                env, config, workers=workers,
-                checkpoint_dir=checkpoint_dir,
-                store_dir=store_dir, chunk_rows=chunk_rows,
-            )
+        passes = _pass_stream(env, config, workers, checkpoint_dir)
+        if store_dir is None:
+            # Per-pass dtypes, promoted by concat -- not the store's
+            # canonical casts, which would make the int64 lte_* float64.
+            result = Table.concat(list(passes))
+            if not result.column_names:
+                # No rows at all: keep the telemetry schema.
+                result = _records_to_table([])
         else:
-            result = _run_area_campaign(env, config, workers=workers,
-                                        checkpoint_dir=checkpoint_dir)
+            result = _store_sink(env, config, passes, store_dir, chunk_rows)
     obs.get_logger("sim").info(
         "campaign", area=env.name, rows=len(result),
         passes=config.passes_per_trajectory,
     )
     return result
+
+
+def _store_sink(
+    env: Environment,
+    config: CampaignConfig,
+    passes: Iterator[Table],
+    store_dir: str | os.PathLike,
+    chunk_rows: int | None,
+):
+    """Append each pass to a columnar store; return a reader over it.
+
+    Peak memory is the stream's in-flight window plus one open chunk,
+    never the whole campaign.  The store is always rewritten from
+    scratch: resume applies to the *pass* checkpoints, which remain the
+    unit of crash safety.
+    """
+    from repro.colstore import ChunkReader, DEFAULT_CHUNK_ROWS, ShardWriter
+
+    with ShardWriter(
+        store_dir,
+        chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
+        meta={
+            "kind": "campaign_raw",
+            "area": env.name,
+            "campaign_fingerprint": _campaign_fingerprint(env, config),
+        },
+    ) as writer:
+        for table in passes:
+            writer.append(_canonical_columns(table))
+    return ChunkReader(store_dir)
 
 
 @dataclass(frozen=True)
@@ -190,10 +224,17 @@ def _campaign_plan(env: Environment, config: CampaignConfig
 def _simulate_pass_task(
     env: Environment,
     config: SimulationConfig,
-    item: tuple[_PassTask, np.random.SeedSequence],
-) -> list[TelemetryRecord]:
-    """Pure worker: one pass from its own seed (pmap task function)."""
-    task, seed = item
+    checkpoint: tuple[str, str] | None,
+    item: tuple[int, _PassTask, np.random.SeedSequence],
+) -> Table:
+    """Worker: one pass from its own seed (pmap task function).
+
+    With ``checkpoint`` (``(root, fingerprint)``) set, the worker
+    persists the pass's columns itself (atomically, via NpzCache) before
+    returning, so a crash mid-campaign loses only the passes still in
+    flight.
+    """
+    index, task, seed = item
     faults.inject("sim.pass_crash", key=task.run_id)
     rng = np.random.default_rng(seed)
     trajectory = env.trajectories[task.trajectory]
@@ -206,36 +247,64 @@ def _simulate_pass_task(
     else:
         mobility = StationaryModel()
         mode = MODE_STATIONARY
-    return simulate_pass(
+    table = _records_to_table(simulate_pass(
         env, trajectory, mobility, run_id=task.run_id, rng=rng,
         config=config, mobility_mode=mode, duration_s=task.duration_s,
-    )
+    ))
+    if checkpoint is not None:
+        CheckpointStore(*checkpoint).save(
+            index, {f: table[f] for f in table.column_names})
+    return table
 
 
-def _pass_columns(records: list[TelemetryRecord]
-                  ) -> dict[str, np.ndarray]:
-    """One pass as column arrays (the checkpoint payload)."""
-    return {
-        f: np.asarray([getattr(r, f) for r in records])
-        for f in TelemetryRecord.field_names()
-    }
+def _pass_stream(
+    env: Environment,
+    config: CampaignConfig,
+    workers: int | None,
+    checkpoint_dir: str | os.PathLike | None,
+) -> Iterator[Table]:
+    """Every pass of the campaign as a Table, in run order.
 
-
-def _records_from_columns(columns: dict[str, np.ndarray]
-                          ) -> list[TelemetryRecord]:
-    """Inverse of :func:`_pass_columns`, exact to the last bit.
-
-    ``tolist()`` restores native Python scalars (int/float/str), so a
-    record round-tripped through a checkpoint equals the original and
-    ``_records_to_table`` over a resumed run matches an uninterrupted
-    one column-for-column.
+    A pass whose checkpoint loads is resumed from it; the rest come
+    from one bounded :func:`repro.par.pmap_stream` over the passes
+    still to run.  A checkpoint that turns out corrupt or missing when
+    the loop reaches it is simulated again, serially, from the pass's
+    own index-keyed seed.
     """
-    cols = [columns[f].tolist() for f in TelemetryRecord.field_names()]
-    return [TelemetryRecord(*vals) for vals in zip(*cols)]
+    tasks = _campaign_plan(env, config)
+    # One child seed per pass, keyed by (campaign seed, area, pass index):
+    # execution order and worker count cannot change any draw.
+    seeds = spawn_seeds(root_sequence(config.seed, env.name), len(tasks))
+    items = list(zip(range(len(tasks)), tasks, seeds))
+    root = resolve_dir(checkpoint_dir)
+    checkpoint, store, resumable = None, None, set()
+    if root is not None:
+        checkpoint = (str(root), _campaign_fingerprint(env, config))
+        store = CheckpointStore(*checkpoint)
+        resumable = set(store.completed(len(tasks)))
+    simulate = partial(_simulate_pass_task, env, config.simulation,
+                       checkpoint)
+    fresh = pmap_stream(
+        simulate,
+        [item for item in items if item[0] not in resumable],
+        workers=workers,
+        label="sim.campaign",
+    )
+    for item in items:
+        if item[0] not in resumable:
+            yield next(fresh)
+            continue
+        columns = store.load(item[0])
+        if columns is None:
+            yield simulate(item)
+        else:
+            obs.inc("resil.checkpoint.passes_resumed_total")
+            yield Table(columns)
+    # Run the exhausted stream to its end so its pool shuts down now.
+    next(fresh, None)
 
 
-def _canonical_columns(columns: dict[str, np.ndarray]
-                       ) -> dict[str, np.ndarray]:
+def _canonical_columns(table: Table) -> dict[str, np.ndarray]:
     """Pass columns cast to the store's canonical schema.
 
     Per-pass dtypes are data-dependent (an all-LTE pass yields integer
@@ -246,11 +315,9 @@ def _canonical_columns(columns: dict[str, np.ndarray]
     representable in float64 -- so the store read back equals the
     in-memory Table column for column.
     """
-    from dataclasses import fields as _dc_fields
-
-    out = dict(columns)
-    for f in _dc_fields(TelemetryRecord):
-        arr = out[f.name]
+    out = {}
+    for f in fields(TelemetryRecord):
+        arr = table[f.name]
         if f.type == "int":
             out[f.name] = arr.astype(np.int64)
         elif f.type == "float":
@@ -273,152 +340,6 @@ def _campaign_fingerprint(env: Environment, config: CampaignConfig) -> str:
         "schema": TelemetryRecord.field_names(),
         "campaign": config,
     })
-
-
-def _simulate_checkpointed_pass_task(
-    env: Environment,
-    config: SimulationConfig,
-    root: str,
-    fp: str,
-    item: tuple[int, _PassTask, np.random.SeedSequence],
-) -> list[TelemetryRecord]:
-    """One pass that persists its own checkpoint before returning.
-
-    Workers write their own parts (atomically, via NpzCache) so a crash
-    mid-campaign loses only the passes still in flight.
-    """
-    index, task, seed = item
-    records = _simulate_pass_task(env, config, (task, seed))
-    CheckpointStore(root, fp).save(index, _pass_columns(records))
-    return records
-
-
-def _run_area_campaign(
-    env: Environment,
-    config: CampaignConfig,
-    workers: int | None = None,
-    checkpoint_dir: str | os.PathLike | None = None,
-) -> Table:
-    tasks = _campaign_plan(env, config)
-    # One child seed per pass, keyed by (campaign seed, area, pass index):
-    # execution order and worker count cannot change any draw.
-    seeds = spawn_seeds(root_sequence(config.seed, env.name), len(tasks))
-    root = resolve_dir(checkpoint_dir)
-    if root is None:
-        per_pass = pmap(
-            partial(_simulate_pass_task, env, config.simulation),
-            list(zip(tasks, seeds)),
-            workers=workers,
-            label="sim.campaign",
-        )
-    else:
-        fp = _campaign_fingerprint(env, config)
-        store = CheckpointStore(root, fp)
-        per_pass = [None] * len(tasks)
-        pending: list[tuple[int, _PassTask, np.random.SeedSequence]] = []
-        for i, (task, seed) in enumerate(zip(tasks, seeds)):
-            columns = store.load(i)
-            if columns is not None:
-                per_pass[i] = _records_from_columns(columns)
-                obs.inc("resil.checkpoint.passes_resumed_total")
-            else:
-                pending.append((i, task, seed))
-        if pending:
-            done = pmap(
-                partial(_simulate_checkpointed_pass_task, env,
-                        config.simulation, str(root), fp),
-                pending,
-                workers=workers,
-                label="sim.campaign",
-            )
-            for (i, _, _), recs in zip(pending, done):
-                per_pass[i] = recs
-    records: list[TelemetryRecord] = []
-    for recs in per_pass:
-        records.extend(recs)
-    return _records_to_table(records)
-
-
-def _store_area_campaign(
-    env: Environment,
-    config: CampaignConfig,
-    workers: int | None = None,
-    checkpoint_dir: str | os.PathLike | None = None,
-    store_dir: str | os.PathLike | None = None,
-    chunk_rows: int | None = None,
-):
-    """Out-of-core campaign: stream passes into a columnar store.
-
-    Identical plan, seeds and per-pass values as
-    :func:`_run_area_campaign`; the difference is purely where rows go.
-    Passes are consumed *in run order* from a bounded
-    :func:`repro.par.pmap_stream` window and appended to a
-    :class:`repro.colstore.ShardWriter`, so peak memory is the in-flight
-    window plus one open chunk -- never the whole campaign.
-
-    With checkpointing on, already-completed passes are loaded lazily at
-    their consume point (one at a time) and pending ones streamed from
-    the pool; an entry that turns out corrupt at consume time is
-    re-simulated serially from its index-keyed seed.  The store is
-    always rewritten from scratch -- resume applies to the *pass*
-    checkpoints, which remain the unit of crash safety.
-    """
-    from repro.colstore import ChunkReader, DEFAULT_CHUNK_ROWS, ShardWriter
-
-    tasks = _campaign_plan(env, config)
-    seeds = spawn_seeds(root_sequence(config.seed, env.name), len(tasks))
-    fp = _campaign_fingerprint(env, config)
-    writer = ShardWriter(
-        store_dir,
-        chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
-        meta={
-            "kind": "campaign_raw",
-            "area": env.name,
-            "campaign_fingerprint": fp,
-        },
-    )
-    root = resolve_dir(checkpoint_dir)
-    with writer:
-        if root is None:
-            stream = pmap_stream(
-                partial(_simulate_pass_task, env, config.simulation),
-                list(zip(tasks, seeds)),
-                workers=workers,
-                label="sim.campaign",
-            )
-            for records in stream:
-                writer.append(_canonical_columns(_pass_columns(records)))
-        else:
-            store = CheckpointStore(root, fp)
-            resumed = set(store.completed(len(tasks)))
-            pending = [
-                (i, task, seed)
-                for i, (task, seed) in enumerate(zip(tasks, seeds))
-                if i not in resumed
-            ]
-            stream = iter(pmap_stream(
-                partial(_simulate_checkpointed_pass_task, env,
-                        config.simulation, str(root), fp),
-                pending,
-                workers=workers,
-                label="sim.campaign",
-            ))
-            for i, (task, seed) in enumerate(zip(tasks, seeds)):
-                if i in resumed:
-                    columns = store.load(i)
-                    if columns is None:
-                        # Entry vanished/corrupted between the scan and
-                        # now: recompute from the same index-keyed seed.
-                        columns = _pass_columns(_simulate_checkpointed_pass_task(
-                            env, config.simulation, str(root), fp,
-                            (i, task, seed),
-                        ))
-                    else:
-                        obs.inc("resil.checkpoint.passes_resumed_total")
-                else:
-                    columns = _pass_columns(next(stream))
-                writer.append(_canonical_columns(columns))
-    return ChunkReader(store_dir)
 
 
 def run_campaign(
@@ -552,11 +473,8 @@ def run_side_by_side_4g5g(
                 for p in env.panels.panels
             )
             lte_tput = config.lte.throughput_mbps(d, lte_rng)
-            clone = TelemetryRecord(**{
-                f: getattr(rec, f) for f in TelemetryRecord.field_names()
-            })
-            clone.radio_type = RadioType.LTE.value
-            clone.throughput_mbps = lte_tput
-            clone.cell_id = 9999
-            records_4g.append(clone)
+            records_4g.append(replace(
+                rec, radio_type=RadioType.LTE.value,
+                throughput_mbps=lte_tput, cell_id=9999,
+            ))
     return _records_to_table(records_5g), _records_to_table(records_4g)

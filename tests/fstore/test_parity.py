@@ -4,15 +4,15 @@ Every test here compares float64 buffers with ``tobytes()`` -- exact bit
 equality, not ``allclose`` -- across the three execution paths of one
 view definition:
 
-* :meth:`FeatureView.transform_table` (the plain batch reference),
-* :class:`OfflineMaterializer` (chunked, ``pmap``-parallel, cached),
+* :meth:`FeatureView.transform_table` (the in-memory batch path),
+* :meth:`OfflineMaterializer.materialize_store` (chunk by chunk over a
+  columnar store, on cache miss and cache hit),
 * :meth:`FeatureView.transform_row` / :class:`OnlineFeatureServer`
   (the single-row serving path),
 
 over the deterministic edge-case table (wraparound angles, sentinel and
 NaN signals, zero speed, short runs) and property-generated tables, for
-all five Table-6 combinations, at 1 and 4 ``pmap`` workers, on cache
-miss and cache hit.
+all five Table-6 combinations, at any store chunk size.
 """
 
 import numpy as np
@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.colstore import ChunkReader, ShardWriter
 from repro.datasets.frame import Table
 from repro.fstore import (
     COMBINATIONS,
@@ -108,13 +109,25 @@ class TestTransformParity:
             assert offline.X.tobytes() == online.tobytes(), spec
 
 
+def _store(root, table, chunk_rows):
+    with ShardWriter(root, chunk_rows=chunk_rows) as writer:
+        writer.append({n: table[n] for n in table.column_names})
+    return ChunkReader(root)
+
+
+def _store_matrix(features, view) -> np.ndarray:
+    got = features.read_table()
+    return np.column_stack([np.asarray(got[n]) for n in view.names])
+
+
 class TestOfflineParity:
     @pytest.mark.parametrize("spec", COMBINATIONS)
     def test_materializer_matches_reference(self, spec, tmp_path):
         t = edge_case_table()
         view = combination_view(spec, past_throughput_lags=5)
         reference = view.transform_table(t).X
-        mat = OfflineMaterializer(view, cache=str(tmp_path), chunk_rows=3)
+        reader = _store(tmp_path / "raw", t, chunk_rows=3)
+        mat = OfflineMaterializer(view)
 
         obs.set_enabled(True)
         registry = obs.get_registry()
@@ -122,40 +135,26 @@ class TestOfflineParity:
         misses = registry.counter("fstore.cache_misses_total")
         h0, m0 = hits.value, misses.value
 
-        missed = mat.materialize(t)
+        missed = mat.materialize_store(reader, tmp_path / "f")
         assert misses.value == m0 + 1 and hits.value == h0
-        hit = mat.materialize(t)
+        hit = mat.materialize_store(reader, tmp_path / "f")
         assert hits.value == h0 + 1
 
-        assert missed.X.tobytes() == reference.tobytes()
-        assert hit.X.tobytes() == reference.tobytes()
-        assert missed.names == view.names == hit.names
+        assert _store_matrix(missed, view).tobytes() == reference.tobytes()
+        assert _store_matrix(hit, view).tobytes() == reference.tobytes()
+        assert missed.column_names == list(view.names) \
+            == hit.column_names
 
-    def test_worker_count_and_chunking_invariant(self):
+    def test_chunking_invariant(self, tmp_path):
         t = edge_case_table()
         view = combination_view("T+M+C", past_throughput_lags=5)
         reference = view.transform_table(t).X
-        for chunk_rows, workers in [(1, 1), (3, 1), (3, 4), (5, 4),
-                                    (1000, 4)]:
-            fm = OfflineMaterializer(
-                view, cache=None, chunk_rows=chunk_rows
-            ).materialize(t, workers=workers)
-            assert fm.X.tobytes() == reference.tobytes(), \
-                (chunk_rows, workers)
-
-    def test_cache_key_tracks_view_and_table(self, tmp_path):
-        t = edge_case_table()
-        v5 = combination_view("T+M+C", past_throughput_lags=5)
-        v3 = combination_view("T+M+C", past_throughput_lags=3)
-        mat5 = OfflineMaterializer(v5, cache=str(tmp_path))
-        mat3 = OfflineMaterializer(v3, cache=str(tmp_path))
-        assert mat5.cache_key(t) != mat3.cache_key(t)
-        # Same definition, different data.
-        t2 = Table({n: t[n][:6] for n in t.column_names})
-        assert mat5.cache_key(t) != mat5.cache_key(t2)
-        # Deterministic across instances.
-        assert mat5.cache_key(t) == \
-            OfflineMaterializer(v5, cache=str(tmp_path)).cache_key(t)
+        for chunk_rows in (1, 3, 5, 1000):
+            reader = _store(tmp_path / f"raw{chunk_rows}", t, chunk_rows)
+            out = OfflineMaterializer(view).materialize_store(
+                reader, tmp_path / f"f{chunk_rows}")
+            assert _store_matrix(out, view).tobytes() == \
+                reference.tobytes(), chunk_rows
 
 
 class TestOnlineParity:

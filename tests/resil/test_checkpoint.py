@@ -123,11 +123,11 @@ class TestCampaignResume:
 
         real = collection._simulate_pass_task
 
-        def dying(env_, config_, item):
-            task, _ = item
+        def dying(env_, config_, checkpoint_, item):
+            _, task, _ = item
             if task.run_id >= 2:
                 raise RuntimeError("process killed")
-            return real(env_, config_, item)
+            return real(env_, config_, checkpoint_, item)
 
         monkeypatch.setattr(collection, "_simulate_pass_task", dying)
         with pytest.raises(RuntimeError):
