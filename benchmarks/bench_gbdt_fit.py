@@ -4,7 +4,8 @@ Fits on synthetic regression/classification data (>= 50k rows for the
 asserted case) through three model families:
 
 * **regressor** -- squared-error GBDT, grower vs the reference grower
-  (``HistogramTree._grow_reference`` monkeypatched in); the grower
+  (``tests/ml/_tree_oracles.py``'s ``reference_fit_binned_chunks``
+  monkeypatched in for ``HistogramTree.fit_binned_chunks``); the grower
   must be >= 2x.  The same fit also runs as a 3-chunk
   ``fit_binned_stream`` over in-memory chunks: the grower's multi-pass
   case, which trains the same trees as those chunks would anywhere.
@@ -29,6 +30,8 @@ the grower; the names are kept so the history stays comparable):
 * ``tree.bench.forest_serial_row_trees_per_s``
 """
 
+import pathlib
+import sys
 import time
 
 import numpy as np
@@ -39,6 +42,10 @@ from repro.ml.gbdt import GBDTClassifier, GBDTRegressor
 from repro.ml.tree import FeatureBinner, HistogramTree
 
 from _bench_utils import emit, format_table
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1]
+                       / "tests" / "ml"))
+from _tree_oracles import reference_fit_binned_chunks  # noqa: E402
 
 #: The asserted >= 2x case: a >= 50k-row regression fit.
 N_REG, REG_TREES = 50_000, 5
@@ -67,14 +74,6 @@ def _classification_data(seed=1):
     return X, np.digitize(score, edges)  # 7 classes
 
 
-def _use_reference(monkeypatch_ctx):
-    def grow(tree, chunks, rng=None, n_bins=None):
-        return tree._grow_reference(list(chunks()),
-                                    rng or np.random.default_rng())
-
-    monkeypatch_ctx.setattr(HistogramTree, "fit_binned_chunks", grow)
-
-
 def test_gbdt_fit_throughput(benchmark, monkeypatch, capsys):
     X_reg, y_reg = _regression_data()
     X_clf, y_clf = _classification_data()
@@ -96,7 +95,8 @@ def test_gbdt_fit_throughput(benchmark, monkeypatch, capsys):
     def reference(fit):
         def run():
             with monkeypatch.context() as m:
-                _use_reference(m)
+                m.setattr(HistogramTree, "fit_binned_chunks",
+                          reference_fit_binned_chunks)
                 return fit()
         return run
 

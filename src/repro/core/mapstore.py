@@ -26,7 +26,7 @@ from repro import fstore
 from repro.datasets.frame import Table
 from repro.ml.gbdt import GBDTRegressor
 from repro.ml.preprocessing import cyclic_encode
-from repro.ml.serialize import gbdt_from_dict, gbdt_to_dict
+from repro.ml.serialize import model_from_dict, model_to_dict
 
 BUNDLE_VERSION = 1
 N_DIRECTION_BINS = 8
@@ -163,7 +163,7 @@ class ThroughputMapBundle:
                 [k[0], k[1], k[2], v[0], v[1]]
                 for k, v in sorted(self.directional_cells.items())
             ],
-            "model": (gbdt_to_dict(self.model)
+            "model": (model_to_dict(self.model)
                       if self.model is not None else None),
         })
 
@@ -182,7 +182,7 @@ class ThroughputMapBundle:
                 (int(x), int(y), int(o)): (float(m), int(n))
                 for x, y, o, m, n in data["directional_cells"]
             },
-            model=(gbdt_from_dict(data["model"])
+            model=(model_from_dict(data["model"])
                    if data["model"] is not None else None),
         )
 

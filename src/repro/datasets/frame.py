@@ -89,11 +89,14 @@ class Table:
         """Stack tables with identical column sets.
 
         Each output column is preallocated once at its promoted dtype
-        (``np.result_type`` over the inputs -- the same promotion
-        ``np.concatenate`` applies) and filled slice by slice, so no
-        intermediate per-part list of casted copies is built.
+        (``np.result_type`` over the non-empty inputs -- the same
+        promotion ``np.concatenate`` applies) and filled slice by slice,
+        so no intermediate per-part list of casted copies is built.
+        When every input is empty the result is the first input's
+        columns with zero rows.
         """
-        tables = [t for t in tables if len(t)]
+        tables = list(tables)
+        tables = [t for t in tables if len(t)] or tables[:1]
         if not tables:
             return cls({})
         names = tables[0].column_names

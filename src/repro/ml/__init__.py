@@ -34,12 +34,6 @@ from repro.ml.model_selection import (
     parameter_grid,
 )
 from repro.ml.nn import Seq2SeqRegressor
-from repro.ml.serialize import (
-    gbdt_from_dict,
-    gbdt_from_json,
-    gbdt_to_dict,
-    gbdt_to_json,
-)
 from repro.ml.preprocessing import (
     LabelEncoder,
     StandardScaler,
@@ -75,10 +69,6 @@ __all__ = [
     "cyclic_encode",
     "error_reduction_factor",
     "fit_spherical_variogram",
-    "gbdt_from_dict",
-    "gbdt_from_json",
-    "gbdt_to_dict",
-    "gbdt_to_json",
     "harmonic_mean",
     "kfold_indices",
     "macro_f1",

@@ -4,8 +4,8 @@ Bagged histogram trees with per-split feature subsampling.  The regressor
 averages leaf means; the classifier averages per-class scores of trees fit
 on one-hot targets (probability forests), matching scikit-learn's
 ``predict_proba``-averaging behaviour closely enough for baseline duty.
-Prediction descends every tree in one traversal
-(:func:`repro.ml.tree._ensemble_sums`), so its cost grows with depth,
+Prediction descends every tree in one traversal of the stacked forest
+(:class:`repro.ml.tree._Ensemble`), so its cost grows with depth,
 not with the number of trees times depth; ``max_depth=None`` grows
 until ``min_samples_leaf`` stops a split.
 """
@@ -17,19 +17,19 @@ from functools import partial
 
 import numpy as np
 
-from repro.ml.preprocessing import LabelEncoder, one_hot
+from repro.ml.preprocessing import one_hot
 from repro.ml.tree import (
     FeatureBinner,
     HistogramTree,
     TreeParams,
-    _ensemble_sums,
-    _feature_importances,
+    _Classifier,
+    _Ensemble,
     _one_chunk,
 )
 from repro.par import spawn_seeds
 
 
-class _ForestBase:
+class _ForestBase(_Ensemble):
     def __init__(
         self,
         n_estimators: int = 100,
@@ -50,14 +50,9 @@ class _ForestBase:
         self.max_bins = max_bins
         #: Tree i grows from the i-th child of this seed's sequence.
         self.random_state = random_state
-        self._binner: FeatureBinner | None = None
-        self._trees: list[HistogramTree] = []
-        self.n_features_: int | None = None
-        #: Training provenance (wall clock, sizes); travels with the
-        #: serialized model like the GBDT family's telemetry does.
-        self.fit_telemetry_: dict | None = None
+        super().__init__()
 
-    def _params(self) -> TreeParams:
+    def _tree_params(self) -> TreeParams:
         return TreeParams(
             max_depth=self.max_depth,
             min_samples_leaf=self.min_samples_leaf,
@@ -65,25 +60,20 @@ class _ForestBase:
             max_features=self.max_features,
         )
 
-    def _learn_targets(self, chunks) -> None:
-        """Fix the target space from the stream's raw targets."""
-
     def fit(self, X, y):
         """Fit on in-memory data: bin ``X``, then grow every tree."""
         X = np.asarray(X, dtype=float)
         binner = FeatureBinner(self.max_bins)
-        self._fit_trees_stream(_one_chunk(binner.fit_transform(X), y),
-                               binner, out_of_core=False)
-        return self
+        return self._fit_trees_stream(_one_chunk(binner.fit_transform(X), y),
+                                      binner, out_of_core=False)
 
     def fit_binned_stream(self, chunks, binner: FeatureBinner):
         """Out-of-core fit from a re-iterable ``(binned, y)`` chunk stream
         (see :meth:`_fit_trees_stream` for the contract)."""
-        self._fit_trees_stream(chunks, binner, out_of_core=True)
-        return self
+        return self._fit_trees_stream(chunks, binner, out_of_core=True)
 
     def _fit_trees_stream(self, chunks, binner: FeatureBinner,
-                          out_of_core: bool) -> None:
+                          out_of_core: bool):
         """Tree fitting from a re-iterable ``(binned, y)`` stream.
 
         Tree ``i`` draws its bootstrap from the ``i``-th child of
@@ -108,8 +98,9 @@ class _ForestBase:
         n = int(np.sum(lens))
         if n == 0:
             raise ValueError("empty chunk stream")
-        self.n_features_ = d
-        self._binner = binner
+        # A new binner never meets the old trees, even if growth raises.
+        self.n_features_, self._binner = d, binner
+        self._set_trees([])
         offsets = np.concatenate([[0], np.cumsum(lens)])
 
         def coded():
@@ -117,8 +108,8 @@ class _ForestBase:
 
         if not out_of_core:  # in memory: map the targets once
             coded = partial(iter, list(coded()))
-        params = self._params()
-        self._trees = []
+        params = self._tree_params()
+        trees = []
         for seed in spawn_seeds(self.random_state, self.n_estimators):
             rng = np.random.default_rng(seed)
             counts = (np.bincount(rng.integers(0, n, size=n), minlength=n)
@@ -134,40 +125,25 @@ class _ForestBase:
 
             stream = (tree_chunks if out_of_core
                       else partial(iter, list(tree_chunks())))
-            self._trees.append(HistogramTree(params).fit_binned_chunks(
+            trees.append(HistogramTree(params).fit_binned_chunks(
                 stream, rng=rng, n_bins=binner.n_bins_))
+        self._set_trees(trees)
         self.fit_telemetry_ = {
             "model": self._MODEL_TAG,
             "fit_wall_s": time.perf_counter() - t_start,
-            "n_trees": len(self._trees),
+            "n_trees": len(trees),
             "n_train": n,
         }
         if out_of_core:
             self.fit_telemetry_["out_of_core"] = True
+        return self
 
-    def _check_fitted(self) -> None:
-        if self._binner is None:
-            raise RuntimeError("model is not fitted")
-
-    def _bin(self, X) -> np.ndarray:
-        self._check_fitted()
-        return self._binner.transform(np.asarray(X, dtype=float))
-
-    def _mean_prediction(self, binned: np.ndarray) -> np.ndarray:
+    def _score(self, binned: np.ndarray) -> np.ndarray:
         """Mean of the trees' leaf values per row: one traversal of the
         whole forest, summed in tree order from zeros, then divided by
         the tree count."""
-        self._check_fitted()
-        trees = self._trees
-        sums = _ensemble_sums(trees, binned,
-                              np.concatenate([t.value for t in trees]),
-                              np.zeros((len(binned), trees[0].n_outputs)))
-        return sums / len(trees)
-
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        self._check_fitted()
-        return _feature_importances(self._trees, self.n_features_)
+        start = np.zeros((len(binned), self._trees[0].n_outputs))
+        return self._sums(binned, start) / len(self._trees)
 
 
 class RandomForestRegressor(_ForestBase):
@@ -178,46 +154,22 @@ class RandomForestRegressor(_ForestBase):
     def _targets(self, y) -> np.ndarray:
         return np.asarray(y, dtype=float).reshape(-1, 1)
 
-    def predict_binned(self, binned: np.ndarray) -> np.ndarray:
-        """:meth:`predict` for rows already coded by the model's binner."""
-        return self._mean_prediction(binned)[:, 0]
-
-    def predict(self, X) -> np.ndarray:
-        return self.predict_binned(self._bin(X))
+    def _decode(self, score: np.ndarray) -> np.ndarray:
+        return score[:, 0]
 
 
-class RandomForestClassifier(_ForestBase):
+class RandomForestClassifier(_Classifier, _ForestBase):
     """Probability forest over one-hot targets."""
 
     _MODEL_TAG = "rf_classifier"
-
-    def _learn_targets(self, chunks) -> None:
-        # Classes are the sorted union of labels across the chunks.
-        self.encoder_ = LabelEncoder().fit_stream(y for _, y in chunks())
 
     def _targets(self, y) -> np.ndarray:
         return one_hot(self.encoder_.transform(np.asarray(y)),
                        len(self.encoder_.classes_))
 
-    def predict_proba_binned(self, binned: np.ndarray) -> np.ndarray:
-        """:meth:`predict_proba` for rows already coded by the model's
-        binner."""
-        scores = np.clip(self._mean_prediction(binned), 0.0, None)
+    @staticmethod
+    def _proba(score: np.ndarray) -> np.ndarray:
+        scores = np.clip(score, 0.0, None)
         totals = scores.sum(axis=1, keepdims=True)
         totals[totals == 0.0] = 1.0
         return scores / totals
-
-    def predict_proba(self, X) -> np.ndarray:
-        return self.predict_proba_binned(self._bin(X))
-
-    def predict_binned(self, binned: np.ndarray) -> np.ndarray:
-        """:meth:`predict` for rows already coded by the model's binner."""
-        codes = np.argmax(self._mean_prediction(binned), axis=1)
-        return self.encoder_.inverse_transform(codes)
-
-    def predict(self, X) -> np.ndarray:
-        return self.predict_binned(self._bin(X))
-
-    @property
-    def classes_(self) -> np.ndarray:
-        return self.encoder_.classes_

@@ -37,10 +37,12 @@ in-memory only, and so is the quantile family, whose leaf refit needs
 every in-bag residual of a leaf at once.
 
 Prediction scores every tree in one traversal of the whole ensemble
-(:func:`repro.ml.tree._ensemble_sums`): the loss object's ``table``
-concatenates each tree's per-node output (leaf values; the quantile
-family's refit values), and the shrunken steps are added in tree order
-from the base score -- the same float ops as the rounds' ``state +=
+(:class:`repro.ml.tree._Ensemble`, the fitted core shared with the
+forests): whenever the tree list is set, each tree's per-node output
+(the loss object's ``outputs``: leaf values, or the quantile family's
+refit values) is concatenated, shrunken, beside the stacked node
+arrays.  The steps are added in tree order from the base
+score -- the same float ops as the rounds' ``state +=
 lr * step`` -- so ``predict``, ``staged_errors`` and the warm-start
 replay cost O(depth) numpy passes per row block, not one descent per
 tree.  ``predict_binned`` (and the classifier's ``predict_proba_binned``)
@@ -65,13 +67,13 @@ from functools import partial
 import numpy as np
 
 from repro import obs
-from repro.ml.preprocessing import LabelEncoder, one_hot
+from repro.ml.preprocessing import one_hot
 from repro.ml.tree import (
     FeatureBinner,
     HistogramTree,
     TreeParams,
-    _ensemble_sums,
-    _feature_importances,
+    _Classifier,
+    _Ensemble,
     _one_chunk,
 )
 
@@ -112,14 +114,10 @@ class _SquaredError:
     def refit(self, tree: HistogramTree, rows) -> None:
         """Post-growth leaf refit over the in-bag ``(binned, y, state)``."""
 
-    def step(self, i: int, binned: np.ndarray) -> np.ndarray:
-        """Tree ``i``'s unshrunken output per row."""
-        return self.model._trees[i].predict_binned(binned)[:, 0]
-
-    def table(self) -> np.ndarray:
-        """Every tree's per-node output, concatenated in tree order: what
-        :meth:`step` gathers, for the whole ensemble at once."""
-        return np.concatenate([t.value[:, 0] for t in self.model._trees])
+    def outputs(self, i: int, tree: HistogramTree) -> np.ndarray:
+        """Tree ``i``'s (``tree``'s) unshrunken output per node: what a
+        row landing on a leaf adds to its score, times the rate."""
+        return tree.value[:, 0]
 
     def loss_sum(self, state: np.ndarray, y: np.ndarray) -> float:
         return float(np.sum((y - state) ** 2))
@@ -158,12 +156,8 @@ class _PinballLoss(_SquaredError):
                                           self.model.quantile)
         self.model._leaf_values.append(leaf_vals)
 
-    def step(self, i, binned):
-        model = self.model
-        return model._leaf_values[i][model._trees[i].apply(binned)]
-
-    def table(self):
-        return np.concatenate(self.model._leaf_values)
+    def outputs(self, i, tree):
+        return self.model._leaf_values[i]
 
     def loss_sum(self, state, y) -> float:
         alpha, residual = self.model.quantile, y - state
@@ -192,18 +186,15 @@ class _SoftmaxLoss(_SquaredError):
         return (one_hot(y, len(self.model.classes_)) - p,
                 np.clip(p * (1.0 - p), 1e-6, None))
 
-    def step(self, i, binned):
-        return self.model._trees[i].predict_binned(binned)
-
-    def table(self):
-        return np.concatenate([t.value for t in self.model._trees])
+    def outputs(self, i, tree):
+        return tree.value
 
     def loss_sum(self, state, y) -> float:
         picked = np.clip(softmax(state)[np.arange(len(y)), y], 1e-12, 1.0)
         return float(np.sum(-np.log(picked)))
 
 
-class _GBDTBase:
+class _GBDTBase(_Ensemble):
     #: The family's loss object type (see :class:`_SquaredError`).
     _LOSS = _SquaredError
 
@@ -232,16 +223,11 @@ class _GBDTBase:
         self.max_bins = max_bins
         self.random_state = random_state
         self.warm_start = warm_start
-        self._binner: FeatureBinner | None = None
-        self._trees: list[HistogramTree] = []
-        self.n_features_: int | None = None
         #: Boosting generator; survives across ``fit_more`` calls so a
         #: warm continuation draws the same subsample/feature streams a
         #: single longer fit would have.
         self._rng: np.random.Generator | None = None
-        #: Filled by ``fit``: wall clock, rounds completed, final train
-        #: loss.  Serialized with the model (see repro.ml.serialize).
-        self.fit_telemetry_: dict | None = None
+        super().__init__()
 
     def _tree_params(self) -> TreeParams:
         return TreeParams(
@@ -249,10 +235,6 @@ class _GBDTBase:
             min_samples_leaf=self.min_samples_leaf,
             reg_lambda=self.reg_lambda,
         )
-
-    def _check_fitted(self) -> None:
-        if self._binner is None:
-            raise RuntimeError("model is not fitted")
 
     def _warm_rng(self) -> np.random.Generator:
         """Deterministic generator for warm-starting a deserialized model.
@@ -275,9 +257,6 @@ class _GBDTBase:
             )
 
     # -- targets: what the classifier overrides ------------------------------ #
-
-    def _learn_targets(self, chunks) -> None:
-        """Fix the target space from the stream's raw targets (cold fits)."""
 
     def _targets(self, y) -> np.ndarray:
         """Raw targets -> the form the loss reads."""
@@ -315,19 +294,23 @@ class _GBDTBase:
 
     # -- the boosting driver -------------------------------------------------- #
 
-    def _scores(self, binned: np.ndarray,
-                staged: bool = False) -> np.ndarray:
+    def _node_table(self) -> np.ndarray:
+        """Every tree's shrunken per-node step, in tree order."""
+        loss = self._LOSS(self)
+        return self.learning_rate * np.concatenate(
+            [loss.outputs(i, t) for i, t in enumerate(self._trees)])
+
+    def _score(self, binned: np.ndarray,
+               staged: bool = False) -> np.ndarray:
         """Raw score per row: base plus every tree's shrunken step.
 
-        One traversal of the whole ensemble (:func:`_ensemble_sums`)
-        adds the steps in tree order, bit for bit as the rounds added
-        them; ``staged`` returns the score after every stage, base
-        first, shape ``(T + 1, n[, k])``.
+        One traversal of the whole ensemble adds the steps in tree
+        order, bit for bit as the rounds added them; ``staged`` returns
+        the score after every stage, base first, shape ``(T + 1,
+        n[, k])``.
         """
-        loss = self._LOSS(self)
-        return _ensemble_sums(self._trees, binned,
-                              self.learning_rate * loss.table(),
-                              loss.start(len(binned)), staged)
+        return self._sums(binned, self._LOSS(self).start(len(binned)),
+                          staged)
 
     def _drive(self, n_rounds: int, chunks, binner: FeatureBinner | None = None,
                out_of_core: bool = False):
@@ -352,14 +335,11 @@ class _GBDTBase:
             if binner.edges_ is None:
                 raise RuntimeError("binner is not fitted")
             self._learn_targets(chunks)
-        if out_of_core:
-            def data():
-                return ((b, self._targets(y)) for b, y in chunks())
-        else:
-            coded = [(b, self._targets(y)) for b, y in chunks()]
+        def data():
+            return ((b, self._targets(y)) for b, y in chunks())
 
-            def data():
-                return iter(coded)
+        if not out_of_core:  # in memory: map the targets once
+            data = partial(iter, list(data()))
         loss = self._LOSS(self)
         lens, partials, d = [], [], None
         for binned, y in data():
@@ -373,12 +353,16 @@ class _GBDTBase:
             self._check_fit_more(n_rounds, d)
             if self._rng is None:
                 self._rng = self._warm_rng()
-            state = [self._scores(binned) for binned, _ in data()]
+            state = [self._score(binned) for binned, _ in data()]
         else:
             self._rng = np.random.default_rng(self.random_state)
-            self.n_features_, self._binner, self._trees = d, binner, []
+            self.n_features_, self._binner = d, binner
+            self._set_trees([])
             loss.init(partials, n)
             state = [loss.start(m) for m in lens]
+        # Grown trees join the model in one _set_trees after the rounds;
+        # until then predictions read the trees stacked last.
+        trees = list(self._trees)
         offsets = np.cumsum([0] + lens)
 
         def rows(inbag):
@@ -398,106 +382,96 @@ class _GBDTBase:
         n_bins = self._binner.n_bins_
         obs_on = obs.enabled()
         t_start = time.perf_counter()
-        for r in range(n_rounds):
-            round_t0 = time.perf_counter() if obs_on else 0.0
-            inbag = (self._rng.random(n) < self.subsample
-                     if self.subsample < 1.0 else None)
-            # A caller's stream recomputes gradients on every pass (a
-            # float per row of driver state); in-memory rows keep them
-            # for the round.
-            grads = (partial(grad_chunks, inbag) if out_of_core
-                     else partial(iter, list(grad_chunks(inbag))))
-            tree = HistogramTree(params).fit_binned_chunks(
-                grads, rng=self._rng, n_bins=n_bins)
-            loss.refit(tree, rows(inbag))
-            self._trees.append(tree)
-            i = len(self._trees) - 1
-            scored = obs_on or r == n_rounds - 1
-            total = 0.0
-            # Targets are mapped only when the loss is read.
-            for c, (binned, y) in enumerate(data() if scored else chunks()):
-                state[c] += self.learning_rate * loss.step(i, binned)
-                if scored:
-                    total += loss.loss_sum(state[c], y)
-            if obs_on:
-                obs.inc("gbdt.rounds_total")
-                obs.observe("gbdt.round_s", time.perf_counter() - round_t0)
-                obs.set_gauge("gbdt.train_loss", total / n)
+        try:
+            for r in range(n_rounds):
+                round_t0 = time.perf_counter() if obs_on else 0.0
+                inbag = (self._rng.random(n) < self.subsample
+                         if self.subsample < 1.0 else None)
+                # A caller's stream recomputes gradients on every pass (a
+                # float per row of driver state); in-memory rows keep them
+                # for the round.
+                grads = (partial(grad_chunks, inbag) if out_of_core
+                         else partial(iter, list(grad_chunks(inbag))))
+                tree = HistogramTree(params).fit_binned_chunks(
+                    grads, rng=self._rng, n_bins=n_bins)
+                loss.refit(tree, rows(inbag))
+                trees.append(tree)
+                scored = obs_on or r == n_rounds - 1
+                total = 0.0
+                # Targets are mapped only when the loss is read.
+                step = loss.outputs(len(trees) - 1, tree)
+                for c, (binned, y) in enumerate(
+                        data() if scored else chunks()):
+                    state[c] += self.learning_rate * np.take(
+                        step, tree.apply(binned), axis=0)
+                    if scored:
+                        total += loss.loss_sum(state[c], y)
+                if obs_on:
+                    obs.inc("gbdt.rounds_total")
+                    obs.observe("gbdt.round_s", time.perf_counter() - round_t0)
+                    obs.set_gauge("gbdt.train_loss", total / n)
+        finally:
+            # Completed rounds join the model even if a later one
+            # raised, as do the quantile refit values beside them.
+            self._set_trees(trees)
         self.fit_telemetry_ = {
             "model": loss.tag,
             "fit_wall_s": time.perf_counter() - t_start,
-            "rounds_completed": len(self._trees),
+            "rounds_completed": len(trees),
             "final_train_loss": total / n,
         }
         if out_of_core:
             self.fit_telemetry_.update(out_of_core=True, n_train=n)
         return self
 
-    @property
-    def feature_importances_(self) -> np.ndarray:
-        """Split-gain importance normalized to sum to 1 (Fig. 22)."""
-        self._check_fitted()
-        return _feature_importances(self._trees, self.n_features_)
-
-    # -- prediction ----------------------------------------------------------- #
-
-    def _decode(self, score: np.ndarray) -> np.ndarray:
-        """Raw scores -> predictions (the regressors predict the score)."""
-        return score
-
-    def _bin(self, X) -> np.ndarray:
-        self._check_fitted()
-        return self._binner.transform(np.asarray(X, dtype=float))
-
-    def predict_binned(self, binned: np.ndarray) -> np.ndarray:
-        """Predictions for rows already coded by the model's own binner
-        (a store fit's codes store, say): :meth:`predict` without the
-        binning."""
-        self._check_fitted()
-        return self._decode(self._scores(binned))
-
-    def predict(self, X) -> np.ndarray:
-        return self.predict_binned(self._bin(X))
-
     def staged_errors(self, X, y, metric) -> list[float]:
         """Metric after each boosting stage (for learning-curve ablations)."""
-        stages = self._scores(self._bin(X), staged=True)
+        stages = self._score(self._bin(X), staged=True)
         y = np.asarray(y)
         return [metric(y, self._decode(score)) for score in stages[1:]]
 
 
-class GBDTRegressor(_GBDTBase):
-    """Least-squares gradient boosting."""
+class _StreamFit:
+    """The out-of-core entry points, shared by the squared-error and
+    softmax families (the quantile family's leaf refit needs every
+    in-bag residual of a leaf at once, so it has none)."""
 
-    def fit_binned_stream(self, chunks, binner: FeatureBinner
-                          ) -> "GBDTRegressor":
+    def fit_binned_stream(self, chunks, binner: FeatureBinner):
         """Out-of-core fit from a re-iterable ``(binned, y)`` chunk stream.
 
         ``chunks`` is a zero-arg callable returning a fresh iterator
         over identical (uint8-binned X, y) chunk pairs each call (the
         colstore pipeline's ``bin_store`` produces one); ``binner`` is
         the fitted :class:`FeatureBinner` behind the codes.  Driver
-        state is one float64 prediction per row (~8 bytes); gradients
-        are recomputed per chunk as ``y_chunk - pred_chunk``, so no
-        gathered matrix ever exists.  A single-chunk stream reproduces
-        :meth:`fit` bit for bit, and any stream grows the trees its
-        chunks grow in memory (docs/colstore.md).  ``subsample < 1``
-        needs row gathers and is not supported out of core.
+        state is the per-row raw score -- one float64 per row for the
+        regressor, the k-class logits (8k bytes) for the classifier --
+        from which each chunk's gradients are recomputed every round,
+        so no gathered matrix ever exists.  A classifier's classes are
+        the sorted union of the stream's labels, as in memory.  A
+        single-chunk stream reproduces :meth:`fit` bit for bit, and any
+        stream grows the trees its chunks grow in memory
+        (docs/colstore.md).  ``subsample < 1`` needs row gathers and is
+        not supported out of core.
         """
         return self._drive(self.n_estimators, chunks, binner,
                            out_of_core=True)
 
-    def fit_more_binned_stream(self, n_rounds: int, chunks
-                               ) -> "GBDTRegressor":
+    def fit_more_binned_stream(self, n_rounds: int, chunks):
         """Warm-start the out-of-core path: append rounds from a stream.
 
-        ``chunks`` must be binned with the model's own (frozen) binner.
-        Per-row state is rebuilt by replaying the existing trees, so a
-        cold ``fit_binned_stream(n)`` equals ``fit_binned_stream(k)``
-        plus ``fit_more_binned_stream(n - k)`` over the same stream bit
-        for bit.  The refit data is only ever seen one chunk at a time.
+        ``chunks`` must be binned with the model's own (frozen) binner;
+        a classifier's class set is frozen too, and labels outside it
+        raise ``ValueError`` before any tree is grown.  Per-row state is
+        rebuilt by replaying the existing trees, so a cold
+        ``fit_binned_stream(n)`` equals ``fit_binned_stream(k)`` plus
+        ``fit_more_binned_stream(n - k)`` over the same stream bit for
+        bit.  The refit data is only ever seen one chunk at a time.
         """
         return self._drive(int(n_rounds), chunks, out_of_core=True)
+
+
+class GBDTRegressor(_StreamFit, _GBDTBase):
+    """Least-squares gradient boosting."""
 
 
 class GBDTQuantileRegressor(_GBDTBase):
@@ -521,7 +495,7 @@ class GBDTQuantileRegressor(_GBDTBase):
         self.quantile = quantile
 
 
-class GBDTClassifier(_GBDTBase):
+class GBDTClassifier(_Classifier, _StreamFit, _GBDTBase):
     """Multi-class softmax boosting with Newton leaf values.
 
     Each boosting round grows one multi-output tree on the per-class
@@ -532,51 +506,11 @@ class GBDTClassifier(_GBDTBase):
     _LOSS = _SoftmaxLoss
 
     def _learn_targets(self, chunks) -> None:
-        # Classes are the sorted union of labels across the chunks --
-        # for one chunk, exactly what LabelEncoder.fit finds.
-        self.encoder_ = LabelEncoder().fit_stream(y for _, y in chunks())
+        super()._learn_targets(chunks)
         if len(self.encoder_.classes_) < 2:
             raise ValueError("need at least two classes")
 
     def _targets(self, y) -> np.ndarray:
         return self.encoder_.transform(np.asarray(y))
 
-    def fit_binned_stream(self, chunks, binner: FeatureBinner
-                          ) -> "GBDTClassifier":
-        """Out-of-core fit from a re-iterable ``(binned, y)`` chunk stream.
-
-        Same contract as :meth:`GBDTRegressor.fit_binned_stream`; the
-        per-row driver state is the k-class logit matrix (8k bytes per
-        row), from which per-chunk softmax gradients and hessians are
-        recomputed every round.  Classes are the sorted union of labels
-        seen across the stream -- identical to the in-memory encoder.
-        """
-        return self._drive(self.n_estimators, chunks, binner,
-                           out_of_core=True)
-
-    def fit_more_binned_stream(self, n_rounds: int, chunks
-                               ) -> "GBDTClassifier":
-        """Warm-start the out-of-core path: append rounds from a stream.
-
-        Frozen class set and binner; labels outside the known classes
-        raise ``ValueError`` before any tree is grown.  Same
-        bit-identity contract as
-        :meth:`GBDTRegressor.fit_more_binned_stream`.
-        """
-        return self._drive(int(n_rounds), chunks, out_of_core=True)
-
-    def _decode(self, score):
-        return self.encoder_.inverse_transform(np.argmax(score, axis=1))
-
-    def predict_proba_binned(self, binned: np.ndarray) -> np.ndarray:
-        """:meth:`predict_proba` for rows already coded by the model's
-        binner."""
-        self._check_fitted()
-        return softmax(self._scores(binned))
-
-    def predict_proba(self, X) -> np.ndarray:
-        return self.predict_proba_binned(self._bin(X))
-
-    @property
-    def classes_(self) -> np.ndarray:
-        return self.encoder_.classes_
+    _proba = staticmethod(softmax)

@@ -10,8 +10,9 @@ and :class:`~repro.ml.preprocessing.PredictionPipeline` (scaler + model)
 through plain dicts / JSON strings.
 
 :func:`model_to_dict` / :func:`model_from_dict` (and their ``_json``
-twins) dispatch on the concrete type / the payload's ``kind`` tag; the
-older ``gbdt_*`` entry points remain for existing callers.  The serving
+twins) are the whole surface: they dispatch on the concrete type / the
+payload's ``kind`` tag.  Every tree ensemble goes through one writer and
+one reader; a per-family table names the family's own entries.  The serving
 layer (``repro.serve``) builds its on-disk model registry on these.
 """
 
@@ -80,164 +81,112 @@ def _binner_from_dict(data: dict) -> FeatureBinner:
     return binner
 
 
-_COMMON_HYPERPARAMS = (
+_GBDT_HYPERPARAMS = (
     "n_estimators", "learning_rate", "max_depth", "min_samples_leaf",
     "subsample", "reg_lambda", "max_bins", "random_state",
 )
-
-
-def gbdt_to_dict(model) -> dict:
-    """Serialize a fitted GBDT model to a JSON-safe dict."""
-    if model._binner is None:
-        raise ValueError("model must be fitted before serialization")
-    if isinstance(model, GBDTClassifier):
-        kind = "classifier"
-    elif isinstance(model, GBDTQuantileRegressor):
-        kind = "quantile_regressor"
-    else:
-        kind = "regressor"
-    out = {
-        "format_version": FORMAT_VERSION,
-        "kind": kind,
-        "hyperparams": {k: getattr(model, k) for k in _COMMON_HYPERPARAMS},
-        "n_features": model.n_features_,
-        "binner": _binner_to_dict(model._binner),
-        "trees": [_tree_to_dict(t) for t in model._trees],
-    }
-    if isinstance(model, GBDTClassifier):
-        out["classes"] = model.encoder_.classes_.tolist()
-        out["base_logits"] = model.base_logits_.tolist()
-    else:
-        out["base_score"] = model.base_score_
-    if isinstance(model, GBDTQuantileRegressor):
-        out["hyperparams"]["quantile"] = model.quantile
-        # Per-tree refit leaf values (indexed by node id); the trees'
-        # own leaf values only carry the split structure.
-        out["leaf_values"] = [lv.tolist() for lv in model._leaf_values]
-    telemetry = getattr(model, "fit_telemetry_", None)
-    if telemetry is not None:
-        # Training telemetry (fit wall clock, rounds completed, final
-        # train loss) travels with the model so deployed bundles stay
-        # attributable to their training run.
-        out["telemetry"] = dict(telemetry)
-    baseline = getattr(model, "drift_baseline_", None)
-    if baseline is not None:
-        # Frozen training-time prediction statistics; the serving drift
-        # monitor compares its live window against these.
-        out["drift_baseline"] = dict(baseline)
-    view = getattr(model, "feature_view_", None)
-    if view is not None:
-        # The feature-view stamp (repro.fstore.attach_view): which view,
-        # version and fingerprint the model was trained against, so the
-        # registry can reject a model/feature-version mismatch at load.
-        out["feature_view"] = dict(view)
-    return out
-
-
-def gbdt_from_dict(data: dict) -> GBDTRegressor | GBDTClassifier:
-    """Reconstruct a fitted GBDT model from :func:`gbdt_to_dict` output."""
-    if data.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported model format {data.get('format_version')!r}"
-        )
-    cls = {"classifier": GBDTClassifier,
-           "quantile_regressor": GBDTQuantileRegressor}.get(
-        data["kind"], GBDTRegressor)
-    model = cls(**data["hyperparams"])
-    model.n_features_ = int(data["n_features"])
-    model._binner = _binner_from_dict(data["binner"])
-    params = model._tree_params()
-    model._trees = [_tree_from_dict(t, params) for t in data["trees"]]
-    if data["kind"] == "classifier":
-        model.encoder_ = LabelEncoder()
-        model.encoder_.classes_ = np.asarray(data["classes"])
-        model.base_logits_ = np.asarray(data["base_logits"], dtype=float)
-    else:
-        model.base_score_ = float(data["base_score"])
-    if data["kind"] == "quantile_regressor":
-        model._leaf_values = [np.asarray(lv, dtype=float)
-                              for lv in data["leaf_values"]]
-    if "telemetry" in data:
-        model.fit_telemetry_ = dict(data["telemetry"])
-    if "drift_baseline" in data:
-        model.drift_baseline_ = dict(data["drift_baseline"])
-    if "feature_view" in data:
-        model.feature_view_ = dict(data["feature_view"])
-    return model
-
-
-def gbdt_to_json(model, **json_kwargs) -> str:
-    return json.dumps(gbdt_to_dict(model), **json_kwargs)
-
-
-def gbdt_from_json(payload: str):
-    return gbdt_from_dict(json.loads(payload))
-
-
-# --------------------------------------------------------------------------- #
-# Random forests
-# --------------------------------------------------------------------------- #
-
 _FOREST_HYPERPARAMS = (
     "n_estimators", "max_depth", "min_samples_leaf", "max_features",
     "bootstrap", "max_bins", "random_state",
 )
 
 
-def forest_to_dict(
-    model: RandomForestRegressor | RandomForestClassifier,
-) -> dict:
-    """Serialize a fitted random forest to a JSON-safe dict."""
-    if model._binner is None:
-        raise ValueError("model must be fitted before serialization")
-    out = {
-        "format_version": FORMAT_VERSION,
-        "kind": ("rf_classifier"
-                 if isinstance(model, RandomForestClassifier)
-                 else "rf_regressor"),
-        "hyperparams": {k: getattr(model, k) for k in _FOREST_HYPERPARAMS},
-        "n_features": model.n_features_,
-        "binner": _binner_to_dict(model._binner),
-        "trees": [_tree_to_dict(t) for t in model._trees],
-    }
-    if isinstance(model, RandomForestClassifier):
-        out["classes"] = model.encoder_.classes_.tolist()
-    telemetry = getattr(model, "fit_telemetry_", None)
-    if telemetry is not None:
-        out["telemetry"] = dict(telemetry)
-    baseline = getattr(model, "drift_baseline_", None)
-    if baseline is not None:
-        out["drift_baseline"] = dict(baseline)
-    view = getattr(model, "feature_view_", None)
-    if view is not None:
-        out["feature_view"] = dict(view)
-    return out
+def _encoder(classes) -> LabelEncoder:
+    encoder = LabelEncoder()
+    encoder.classes_ = np.asarray(classes)
+    return encoder
 
 
-def forest_from_dict(
-    data: dict,
-) -> RandomForestRegressor | RandomForestClassifier:
-    """Reconstruct a fitted forest from :func:`forest_to_dict` output."""
+def _floats(values) -> np.ndarray:
+    return np.asarray(values, dtype=float)
+
+
+#: The families' own fitted entries: payload key -> (model attribute,
+#: to JSON, from JSON).  The quantile family's ``leaf_values`` are its
+#: per-tree refit leaf values (indexed by node id); the trees' own leaf
+#: values only carry the split structure.
+_ENTRIES = {
+    "classes": ("encoder_", lambda e: e.classes_.tolist(), _encoder),
+    "base_logits": ("base_logits_", np.ndarray.tolist, _floats),
+    "base_score": ("base_score_", float, float),
+    "leaf_values": ("_leaf_values", lambda lvs: [lv.tolist() for lv in lvs],
+                    lambda lvs: [_floats(lv) for lv in lvs]),
+}
+
+#: Per ensemble family: payload ``kind`` ("regressor"/"classifier" are
+#: the original GBDT tags, kept so existing payloads stay loadable), its
+#: hyperparameters, and its own entries, written after ``trees`` in this
+#: order.
+_FAMILIES = {
+    GBDTRegressor: ("regressor", _GBDT_HYPERPARAMS, ("base_score",)),
+    GBDTClassifier: ("classifier", _GBDT_HYPERPARAMS,
+                     ("classes", "base_logits")),
+    GBDTQuantileRegressor: ("quantile_regressor",
+                            _GBDT_HYPERPARAMS + ("quantile",),
+                            ("base_score", "leaf_values")),
+    RandomForestRegressor: ("rf_regressor", _FOREST_HYPERPARAMS, ()),
+    RandomForestClassifier: ("rf_classifier", _FOREST_HYPERPARAMS,
+                             ("classes",)),
+}
+_BY_KIND = {family[0]: cls for cls, family in _FAMILIES.items()}
+
+#: Optional stamps, payload key -> model attribute: training telemetry
+#: (fit wall clock, rounds or trees, final train loss), so a deployed
+#: bundle stays attributable to its training run; the frozen
+#: training-time prediction statistics the serving drift monitor
+#: compares its live window against; and the feature-view stamp
+#: (repro.fstore.attach_view) the registry checks at load.
+_STAMPS = (("telemetry", "fit_telemetry_"),
+           ("drift_baseline", "drift_baseline_"),
+           ("feature_view", "feature_view_"))
+
+
+def _check_format(data: dict) -> None:
     if data.get("format_version") != FORMAT_VERSION:
         raise ValueError(
             f"unsupported model format {data.get('format_version')!r}"
         )
-    cls = (RandomForestClassifier if data["kind"] == "rf_classifier"
-           else RandomForestRegressor)
+
+
+def _ensemble_to_dict(model) -> dict:
+    """Serialize a fitted GBDT or forest to a JSON-safe dict."""
+    if model._binner is None:
+        raise ValueError("model must be fitted before serialization")
+    kind, hyperparams, entries = _FAMILIES[type(model)]
+    out = {
+        "format_version": FORMAT_VERSION,
+        "kind": kind,
+        "hyperparams": {k: getattr(model, k) for k in hyperparams},
+        "n_features": model.n_features_,
+        "binner": _binner_to_dict(model._binner),
+        "trees": [_tree_to_dict(t) for t in model._trees],
+    }
+    for key in entries:
+        attr, to_json, _ = _ENTRIES[key]
+        out[key] = to_json(getattr(model, attr))
+    for key, attr in _STAMPS:
+        value = getattr(model, attr, None)
+        if value is not None:
+            out[key] = dict(value)
+    return out
+
+
+def _ensemble_from_dict(data: dict):
+    """Reconstruct a fitted GBDT or forest from :func:`model_to_dict`
+    output."""
+    _check_format(data)
+    cls = _BY_KIND[data["kind"]]
     model = cls(**data["hyperparams"])
     model.n_features_ = int(data["n_features"])
     model._binner = _binner_from_dict(data["binner"])
-    params = model._params()
-    model._trees = [_tree_from_dict(t, params) for t in data["trees"]]
-    if data["kind"] == "rf_classifier":
-        model.encoder_ = LabelEncoder()
-        model.encoder_.classes_ = np.asarray(data["classes"])
-    if "telemetry" in data:
-        model.fit_telemetry_ = dict(data["telemetry"])
-    if "drift_baseline" in data:
-        model.drift_baseline_ = dict(data["drift_baseline"])
-    if "feature_view" in data:
-        model.feature_view_ = dict(data["feature_view"])
+    for key in _FAMILIES[cls][2]:
+        attr, _, from_json = _ENTRIES[key]
+        setattr(model, attr, from_json(data[key]))
+    params = model._tree_params()
+    model._set_trees([_tree_from_dict(t, params) for t in data["trees"]])
+    for key, attr in _STAMPS:
+        if key in data:
+            setattr(model, attr, dict(data[key]))
     return model
 
 
@@ -258,10 +207,7 @@ def scaler_to_dict(scaler: StandardScaler) -> dict:
 
 
 def scaler_from_dict(data: dict) -> StandardScaler:
-    if data.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported model format {data.get('format_version')!r}"
-        )
+    _check_format(data)
     scaler = StandardScaler()
     scaler.mean_ = np.asarray(data["mean"], dtype=float)
     scaler.scale_ = np.asarray(data["scale"], dtype=float)
@@ -283,10 +229,7 @@ def pipeline_to_dict(pipeline: PredictionPipeline) -> dict:
 
 
 def pipeline_from_dict(data: dict) -> PredictionPipeline:
-    if data.get("format_version") != FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported model format {data.get('format_version')!r}"
-        )
+    _check_format(data)
     scaler = (scaler_from_dict(data["scaler"])
               if data.get("scaler") is not None else None)
     pipeline = PredictionPipeline(model_from_dict(data["model"]),
@@ -300,14 +243,9 @@ def pipeline_from_dict(data: dict) -> PredictionPipeline:
 # Generic dispatch (what the model registry speaks)
 # --------------------------------------------------------------------------- #
 
-#: ``kind`` tag -> loader.  "regressor"/"classifier" are the original
-#: GBDT tags, kept verbatim so pre-existing payloads stay loadable.
+#: ``kind`` tag -> loader.
 _LOADERS = {
-    "regressor": gbdt_from_dict,
-    "classifier": gbdt_from_dict,
-    "quantile_regressor": gbdt_from_dict,
-    "rf_regressor": forest_from_dict,
-    "rf_classifier": forest_from_dict,
+    **dict.fromkeys(_BY_KIND, _ensemble_from_dict),
     "standard_scaler": scaler_from_dict,
     "pipeline": pipeline_from_dict,
 }
@@ -315,11 +253,8 @@ _LOADERS = {
 
 def model_to_dict(model) -> dict:
     """Serialize any supported model/preprocessor to a tagged dict."""
-    if isinstance(model, (GBDTRegressor, GBDTClassifier,
-                          GBDTQuantileRegressor)):
-        return gbdt_to_dict(model)
-    if isinstance(model, (RandomForestRegressor, RandomForestClassifier)):
-        return forest_to_dict(model)
+    if type(model) in _FAMILIES:
+        return _ensemble_to_dict(model)
     if isinstance(model, StandardScaler):
         return scaler_to_dict(model)
     if isinstance(model, PredictionPipeline):

@@ -15,30 +15,35 @@ gain sums over outputs.
 Prediction has one traversal (:func:`_descend`): every (row, tree) pair
 of a batch descends level by level through node arrays, so an ensemble
 of T trees costs O(max depth) numpy passes, not T Python-level descents.
-A single tree is its one-tree case; :func:`_ensemble_sums` concatenates
-an ensemble's node arrays on every call and accumulates the trees'
-outputs in tree order, bit for bit as a per-tree loop would.
+A single tree is its one-tree case.  :class:`_Ensemble`, the fitted core
+of GBDT, forests and the standalone tree, stacks its trees' node arrays
+and per-node outputs once, whenever its tree list is set, and
+:meth:`_Ensemble._sums` accumulates the trees' outputs in tree order,
+bit for bit as a per-tree loop would.
 
 Growth has one grower (:class:`_Grower`): level-order growth over a
 re-iterable ``(binned, grad, hess)`` chunk stream, with offset-bincount
 histograms, histogram subtraction and a vectorized split search
 (docs/performance.md).  In-memory data is its one-chunk case, and every
-chunk geometry grows, bit for bit, the tree the reference grower
-:meth:`HistogramTree._grow_reference` grows on the same chunks.
+chunk geometry grows, bit for bit, the tree a plain per-node reference
+grower (``tests/ml/_tree_oracles.py``) grows on the same chunks.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro import obs
+from repro.ml.preprocessing import LabelEncoder
 
 MAX_BINS = 256
+
+#: A grown tree's node arrays (see :class:`HistogramTree`).
+NODE_ARRAYS = ("feature", "threshold_bin", "left", "right", "n_samples",
+               "gain", "value")
 
 
 class FeatureBinner:
@@ -273,9 +278,9 @@ class _Grower:
     the gathered matrix -- and is finished as soon as its last chunk is
     read, so only histograms a subtraction still needs outlive it.
 
-    Every float that lands in the tree follows the arithmetic
-    :meth:`HistogramTree._grow_reference` spells out, at any chunk
-    geometry: node G/H are ``grad[rows].sum(axis=0)`` per chunk and
+    Every float that lands in the tree follows the arithmetic the
+    reference grower (``tests/ml/_tree_oracles.py``) spells out, at any
+    chunk geometry: node G/H are ``grad[rows].sum(axis=0)`` per chunk and
     histograms offset bincounts per chunk (each cell summing its rows in
     ascending order), both added in chunk order; ``max_features`` subsets
     are drawn per splittable node in level order.  Split search scores
@@ -599,21 +604,16 @@ class _Grower:
 
 
 class HistogramTree:
-    """One grown tree over pre-binned features.
-
-    Growth runs through :class:`_Grower`; the reference grower survives
-    as :meth:`_grow_reference` (and :meth:`fit_reference`, its one-chunk
-    entry) because it is the ground truth the growth-equivalence
-    property tests (and ``benchmarks/bench_gbdt_fit.py``) compare
-    against, exactly as :meth:`predict_binned_slow` anchors the
-    vectorized traversal.
+    """One grown tree over pre-binned features, grown by :class:`_Grower`.
 
     A grown tree is a set of flat node arrays indexed by node id (root
     0, pre-order): ``feature`` (-1 at leaves), ``threshold_bin``,
     ``left``, ``right``, ``n_samples``, ``gain`` and ``value`` of shape
     ``(n_nodes, k)``, frozen from :class:`_Node` scratch once growth (or
-    deserialization) finishes.  Prediction is the one-tree case of the
-    ensemble traversal (:func:`_descend`).
+    deserialization) finishes.  Frozen means read-only: an ensemble
+    stacks these arrays once, so a write in place would go unseen, and
+    it raises instead.  Prediction is the one-tree case of the ensemble
+    traversal (:func:`_descend`).
     """
 
     def __init__(self, params: TreeParams):
@@ -624,7 +624,8 @@ class HistogramTree:
         self._set_nodes([])
 
     def _set_nodes(self, nodes: list[_Node]) -> None:
-        """Freeze grown (or decoded) scratch nodes into the node arrays."""
+        """Freeze grown (or decoded) scratch nodes into read-only node
+        arrays."""
         def ints(name):
             return np.array([getattr(nd, name) for nd in nodes],
                             dtype=np.int64)
@@ -638,6 +639,8 @@ class HistogramTree:
         self.value = (np.concatenate([nd.value for nd in nodes], dtype=float)
                       .reshape(len(nodes), -1)
                       if nodes else np.zeros((0, self.n_outputs)))
+        for name in NODE_ARRAYS:
+            getattr(self, name).flags.writeable = False
 
     def _set_level_order(self, nodes: list[_Node], n_features: int) -> None:
         """Freeze level-order grown nodes in pre-order (parent, full left
@@ -687,21 +690,6 @@ class HistogramTree:
         return self.fit_binned_chunks(lambda: iter([(binned, grad, hess)]),
                                       rng=rng, n_bins=n_bins)
 
-    def fit_reference(
-        self,
-        binned: np.ndarray,
-        grad: np.ndarray,
-        hess: np.ndarray | None,
-        rng: np.random.Generator | None = None,
-        n_bins: np.ndarray | None = None,
-    ) -> "HistogramTree":
-        """Reference grower on in-memory data: the one-chunk case of
-        :meth:`_grow_reference`, which :meth:`fit` must match bit for
-        bit.  ``n_bins`` is accepted and ignored (it rescans codes)."""
-        del n_bins
-        return self._grow_reference([(binned, grad, hess)],
-                                    rng or np.random.default_rng())
-
     def fit_binned_chunks(
         self,
         chunks,
@@ -714,8 +702,8 @@ class HistogramTree:
         over the *same* chunks on every call; ``hess=None`` in a triple
         means unit hessians.  The stream is read once or twice per tree
         level, never gathered (see :class:`_Grower`), and any chunk
-        geometry grows the tree :meth:`_grow_reference` grows on the
-        same chunks, bit for bit.  Without ``n_bins`` the grid is
+        geometry grows the tree the reference grower grows on the same
+        chunks, bit for bit.  Without ``n_bins`` the grid is
         ``MAX_BINS`` wide.
         """
         _Grower(self, chunks, rng or np.random.default_rng(), n_bins).run()
@@ -731,96 +719,6 @@ class HistogramTree:
 
     def _leaf_value(self, G: np.ndarray, H: np.ndarray) -> np.ndarray:
         return G / (H + max(self.params.reg_lambda, 1e-12))
-
-    def _grow_reference(self, chunks, rng) -> "HistogramTree":
-        """Reference grower over a list of ``(binned, grad, hess)`` chunks.
-
-        Plain per-node, per-feature bincounts: no subtraction, no
-        scratch, no vectorized search.  Nodes grow in FIFO (level)
-        order.  A node's G/H are ``grad[rows].sum(axis=0)`` per chunk,
-        and each feature's histogram a bincount per chunk, added in
-        chunk order; ``max_features`` subsets are drawn in FIFO order.
-        Nodes are then renumbered to pre-order and ``feature_gain_``
-        accumulated in pre-order.
-        """
-        p = self.params
-        lam = max(p.reg_lambda, 1e-12)
-        chunks = [(np.asarray(b), _outputs(g),
-                   np.ones_like(_outputs(g)) if h is None else _outputs(h))
-                  for b, g, h in chunks]
-        n_features = chunks[0][0].shape[1]
-        self.n_outputs = k = chunks[0][1].shape[1]
-        k_feat = self._n_split_features(n_features)
-
-        def chunk_sum(parts, zeros=None):
-            return functools.reduce(np.add, parts) if parts else zeros
-
-        nodes = [_Node()]
-        queue = deque([(0, [np.arange(len(b)) for b, _, _ in chunks], 0)])
-        while queue:
-            nid, idx, depth = queue.popleft()
-            parts = [(b[i], g[i], h[i])
-                     for (b, g, h), i in zip(chunks, idx) if len(i)]
-            G = chunk_sum([g.sum(axis=0) for _, g, _ in parts], np.zeros(k))
-            H = chunk_sum([h.sum(axis=0) for _, _, h in parts], np.zeros(k))
-            m = sum(len(i) for i in idx)
-            node = nodes[nid]
-            node.value, node.n_samples = self._leaf_value(G, H), m
-            if depth >= p.depth_limit or m < 2 * p.min_samples_leaf:
-                continue
-            features = (np.arange(n_features) if k_feat == n_features
-                        else rng.choice(n_features, size=k_feat,
-                                        replace=False))
-            base_score = float(np.sum(G * G / (H + lam)))
-            best_gain, best_feature, best_bin = 0.0, -1, -1
-            for f in features:
-                n_bins = max((int(c[:, f].max()) + 1 for c, _, _ in parts),
-                             default=1)
-                if n_bins < 2:
-                    continue
-                # Per-bin gradient/hessian sums for every output.
-                hist_g = np.empty((n_bins, k))
-                hist_h = np.empty((n_bins, k))
-                hist_n = chunk_sum([np.bincount(c[:, f], minlength=n_bins)
-                                    for c, _, _ in parts])
-                for j in range(k):
-                    hist_g[:, j] = chunk_sum(
-                        [np.bincount(c[:, f], weights=g[:, j],
-                                     minlength=n_bins)
-                         for c, g, _ in parts])
-                    hist_h[:, j] = chunk_sum(
-                        [np.bincount(c[:, f], weights=h[:, j],
-                                     minlength=n_bins)
-                         for c, _, h in parts])
-                GL = np.cumsum(hist_g, axis=0)[:-1]
-                HL = np.cumsum(hist_h, axis=0)[:-1]
-                NL = np.cumsum(hist_n)[:-1]
-                GR, HR, NR = G - GL, H - HL, m - NL
-                valid = (NL >= p.min_samples_leaf) & (NR >= p.min_samples_leaf)
-                if not valid.any():
-                    continue
-                score = (np.sum(GL * GL / (HL + lam), axis=1)
-                         + np.sum(GR * GR / (HR + lam), axis=1))
-                score[~valid] = -np.inf
-                b = int(np.argmax(score))
-                gain = float(score[b]) - base_score
-                if gain > best_gain:
-                    best_gain, best_feature, best_bin = gain, int(f), b
-
-            if best_feature < 0 or best_gain <= p.min_gain:
-                continue
-            node.feature, node.threshold_bin = best_feature, best_bin
-            node.gain = best_gain
-            goes = [b[i, best_feature] <= best_bin
-                    for (b, _, _), i in zip(chunks, idx)]
-            node.left, node.right = len(nodes), len(nodes) + 1
-            nodes += [_Node(), _Node()]
-            queue.append((node.left, [i[g] for i, g in zip(idx, goes)],
-                          depth + 1))
-            queue.append((node.right, [i[~g] for i, g in zip(idx, goes)],
-                          depth + 1))
-        self._set_level_order(nodes, n_features)
-        return self
 
     # -- prediction ---------------------------------------------------------- #
 
@@ -838,56 +736,6 @@ class HistogramTree:
         return _descend(binned, self.feature, self.threshold_bin,
                         _kids(self.feature, self.left, self.right),
                         _ONE_ROOT)[:, 0]
-
-    # -- reference (per-row) prediction -------------------------------------- #
-
-    def predict_binned_slow(self, binned: np.ndarray) -> np.ndarray:
-        """Reference node-group-loop traversal (pre-vectorization).
-
-        Kept as the ground truth for the equivalence property tests and
-        the per-row baseline in ``benchmarks/bench_serve_latency.py``;
-        must stay bit-for-bit identical to :meth:`predict_binned`.
-        """
-        n = len(binned)
-        out = np.zeros((n, self.n_outputs))
-        node_ids = np.zeros(n, dtype=int)
-        active = np.arange(n)
-        while len(active):
-            nid = node_ids[active]
-            # Group by current node to test leafness vectorized-ish.
-            still = []
-            for u in np.unique(nid):
-                members = active[nid == u]
-                f = int(self.feature[u])
-                if f < 0:
-                    out[members] = self.value[u]
-                else:
-                    goes_left = binned[members, f] <= self.threshold_bin[u]
-                    node_ids[members[goes_left]] = self.left[u]
-                    node_ids[members[~goes_left]] = self.right[u]
-                    still.append(members)
-            active = np.concatenate(still) if still else np.empty(0, dtype=int)
-        return out
-
-    def apply_slow(self, binned: np.ndarray) -> np.ndarray:
-        """Reference counterpart of :meth:`apply` (see predict_binned_slow)."""
-        n = len(binned)
-        node_ids = np.zeros(n, dtype=int)
-        active = np.arange(n)
-        while len(active):
-            nid = node_ids[active]
-            still = []
-            for u in np.unique(nid):
-                members = active[nid == u]
-                f = int(self.feature[u])
-                if f < 0:
-                    continue
-                goes_left = binned[members, f] <= self.threshold_bin[u]
-                node_ids[members[goes_left]] = self.left[u]
-                node_ids[members[~goes_left]] = self.right[u]
-                still.append(members)
-            active = np.concatenate(still) if still else np.empty(0, dtype=int)
-        return node_ids
 
     @property
     def n_leaves(self) -> int:
@@ -972,8 +820,9 @@ def _stack(trees: list[HistogramTree]):
     Returns ``(feature, threshold, kids, roots)`` for :func:`_descend`:
     child ids are shifted to index the concatenation and ``roots[t]``
     is tree ``t``'s first node, so a per-node table concatenated the
-    same way is indexed by the leaf ids it returns.  Built on every
-    call, never cached: a tree changed in place is read as it stands.
+    same way is indexed by the leaf ids it returns.  Built once per
+    tree list, by :meth:`_Ensemble._set_trees`; the trees' node arrays
+    are read-only, so the stack cannot go stale under them.
     """
     sizes = np.array([len(t.feature) for t in trees], dtype=np.int64)
     roots = np.cumsum(sizes) - sizes
@@ -986,35 +835,6 @@ def _stack(trees: list[HistogramTree]):
             roots)
 
 
-def _ensemble_sums(trees: list[HistogramTree], binned: np.ndarray,
-                   table: np.ndarray, start: np.ndarray,
-                   staged: bool = False) -> np.ndarray:
-    """``start`` plus every tree's ``table`` entry at its leaf, per row.
-
-    ``table`` holds a per-node output for every tree, concatenated in
-    tree order (``(N,)`` or ``(N, k)``); ``start`` is ``(n,)`` or
-    ``(n, k)``.  One :func:`_descend` call per ``_ROW_BLOCK`` rows
-    finds every tree's leaf; ``np.add.accumulate`` then adds the
-    outputs strictly in tree order, so the sums are bit-identical to
-    ``out = start; for t: out += table_t[leaf_t]``.  Returns the final
-    sums (shaped like ``start``), or with ``staged`` every partial sum,
-    shape ``(T + 1, *start.shape)`` with ``start`` first.
-    """
-    arrays = _stack(trees)
-    out = (np.empty((len(trees) + 1,) + start.shape) if staged
-           else np.empty_like(start))
-    for s in range(0, len(binned), _ROW_BLOCK):
-        e = s + _ROW_BLOCK
-        leaves = _descend(binned[s:e], *arrays)
-        steps = np.concatenate([start[s:e, None], table[leaves]], axis=1)
-        np.add.accumulate(steps, axis=1, out=steps)
-        if staged:
-            out[:, s:e] = np.moveaxis(steps, 1, 0)
-        else:
-            out[s:e] = steps[:, -1]
-    return out
-
-
 def _one_chunk(binned: np.ndarray, y: np.ndarray):
     """In-memory ``(binned, y)`` as the one-chunk stream the stream fits read."""
     if len(binned) != len(y):
@@ -1022,18 +842,128 @@ def _one_chunk(binned: np.ndarray, y: np.ndarray):
     return lambda: iter([(binned, y)])
 
 
-def _feature_importances(trees: list[HistogramTree],
-                         n_features: int) -> np.ndarray:
-    """Split-gain importance of an ensemble, normalized to sum to 1."""
-    total = np.zeros(n_features)
-    for tree in trees:
-        total += tree.feature_gain_
-    s = total.sum()
-    return total / s if s > 0 else total
+class _Ensemble:
+    """The fitted core of a tree ensemble (GBDT, forests, one tree).
+
+    It owns the binner, the feature count, the fit telemetry and the
+    trees.  The tree list is only ever set through :meth:`_set_trees`
+    (by every fit, warm start and load), which stacks the trees' node
+    arrays (:func:`_stack`) and the family's per-node output table
+    (:meth:`_node_table`) once, so no prediction concatenates anything.
+    A family supplies ``_score`` (binned rows -> raw score) and may
+    override ``_decode`` (raw score -> prediction).
+    """
+
+    def __init__(self):
+        self._binner: FeatureBinner | None = None
+        self.n_features_: int | None = None
+        #: Training provenance (wall clock, sizes, loss); travels with
+        #: the serialized model (see repro.ml.serialize).
+        self.fit_telemetry_: dict | None = None
+        self._set_trees([])
+
+    def _set_trees(self, trees) -> None:
+        """Install ``trees``, then stack their node arrays and outputs."""
+        self._trees = list(trees)
+        self._stacked = _stack(self._trees) if self._trees else None
+        self._table = self._node_table() if self._trees else None
+
+    def _node_table(self) -> np.ndarray:
+        """Every tree's per-node output, concatenated in tree order."""
+        return np.concatenate([t.value for t in self._trees])
+
+    def _sums(self, binned: np.ndarray, start: np.ndarray,
+              staged: bool = False) -> np.ndarray:
+        """``start`` plus every tree's table entry at its leaf, per row.
+
+        ``start`` is ``(n,)`` or ``(n, k)``, as the table is ``(N,)`` or
+        ``(N, k)``.
+        One :func:`_descend` call per ``_ROW_BLOCK`` rows finds every
+        tree's leaf in the stacked arrays; ``np.add.accumulate`` then
+        adds the outputs strictly in tree order, so the sums are
+        bit-identical to ``out = start; for t: out += table_t[leaf_t]``.
+        Returns the final sums (shaped like ``start``), or with
+        ``staged`` every partial sum, shape ``(T + 1, *start.shape)``
+        with ``start`` first.
+        """
+        out = (np.empty((len(self._trees) + 1,) + start.shape) if staged
+               else np.empty_like(start))
+        for s in range(0, len(binned), _ROW_BLOCK):
+            e = s + _ROW_BLOCK
+            leaves = _descend(binned[s:e], *self._stacked)
+            steps = np.concatenate([start[s:e, None], self._table[leaves]],
+                                   axis=1)
+            np.add.accumulate(steps, axis=1, out=steps)
+            if staged:
+                out[:, s:e] = np.moveaxis(steps, 1, 0)
+            else:
+                out[s:e] = steps[:, -1]
+        return out
+
+    def _learn_targets(self, chunks) -> None:
+        """Fix the target space from the stream's raw targets (cold fits)."""
+
+    def _check_fitted(self) -> None:
+        if self._binner is None:
+            raise RuntimeError("model is not fitted")
+
+    def _bin(self, X) -> np.ndarray:
+        self._check_fitted()
+        return self._binner.transform(np.asarray(X, dtype=float))
+
+    @property
+    def feature_importances_(self) -> np.ndarray:
+        """Split-gain importance normalized to sum to 1 (Fig. 22)."""
+        self._check_fitted()
+        total = np.zeros(self.n_features_)
+        for tree in self._trees:
+            total += tree.feature_gain_
+        s = total.sum()
+        return total / s if s > 0 else total
+
+    def _decode(self, score: np.ndarray) -> np.ndarray:
+        """Raw scores -> predictions (a regressor predicts the score)."""
+        return score
+
+    def predict_binned(self, binned: np.ndarray) -> np.ndarray:
+        """Predictions for rows already coded by the model's own binner
+        (a store fit's codes store, say): :meth:`predict` without the
+        binning."""
+        self._check_fitted()
+        return self._decode(self._score(binned))
+
+    def predict(self, X) -> np.ndarray:
+        return self.predict_binned(self._bin(X))
 
 
-class DecisionTreeRegressor:
-    """Standalone CART-style regressor over the histogram core."""
+class _Classifier:
+    """The classifier side of an ensemble: labels through ``encoder_``,
+    probabilities through the family's ``_proba`` of the raw score."""
+
+    def _learn_targets(self, chunks) -> None:
+        # Classes are the sorted union of labels across the chunks --
+        # for one chunk, exactly what LabelEncoder.fit finds.
+        self.encoder_ = LabelEncoder().fit_stream(y for _, y in chunks())
+
+    @property
+    def classes_(self) -> np.ndarray:
+        return self.encoder_.classes_
+
+    def _decode(self, score: np.ndarray) -> np.ndarray:
+        return self.encoder_.inverse_transform(np.argmax(score, axis=1))
+
+    def predict_proba_binned(self, binned: np.ndarray) -> np.ndarray:
+        """:meth:`predict_proba` for rows already coded by the model's
+        binner."""
+        self._check_fitted()
+        return self._proba(self._score(binned))
+
+    def predict_proba(self, X) -> np.ndarray:
+        return self.predict_proba_binned(self._bin(X))
+
+
+class DecisionTreeRegressor(_Ensemble):
+    """Standalone CART-style regressor: the one-tree ensemble."""
 
     def __init__(self, max_depth: int = 6, min_samples_leaf: int = 5,
                  max_bins: int = MAX_BINS):
@@ -1041,21 +971,21 @@ class DecisionTreeRegressor:
                                  min_samples_leaf=min_samples_leaf,
                                  reg_lambda=0.0)
         self.max_bins = max_bins
-        self._binner: FeatureBinner | None = None
-        self._tree: HistogramTree | None = None
+        super().__init__()
 
     def fit(self, X, y, rng: np.random.Generator | None = None):
         X = np.asarray(X, dtype=float)
-        y = np.asarray(y, dtype=float)
-        self._binner = FeatureBinner(self.max_bins)
-        binned = self._binner.fit_transform(X)
-        self._tree = HistogramTree(self.params)
-        self._tree.fit(binned, y, None, rng=rng, n_bins=self._binner.n_bins_)
+        binner = FeatureBinner(self.max_bins)
+        binned = binner.fit_transform(X)
+        tree = HistogramTree(self.params).fit(
+            binned, np.asarray(y, dtype=float), None, rng=rng,
+            n_bins=binner.n_bins_)
+        self._binner, self.n_features_ = binner, X.shape[1]
+        self._set_trees([tree])
         return self
 
-    def predict(self, X) -> np.ndarray:
-        if self._tree is None:
-            raise RuntimeError("model is not fitted")
-        binned = self._binner.transform(np.asarray(X, dtype=float))
-        pred = self._tree.predict_binned(binned)
-        return pred[:, 0] if pred.shape[1] == 1 else pred
+    def _score(self, binned: np.ndarray) -> np.ndarray:
+        return self._trees[0].predict_binned(binned)
+
+    def _decode(self, score: np.ndarray) -> np.ndarray:
+        return score[:, 0] if score.shape[1] == 1 else score

@@ -136,10 +136,9 @@ def run_area_campaign(
         if store_dir is None:
             # Per-pass dtypes, promoted by concat -- not the store's
             # canonical casts, which would make the int64 lte_* float64.
-            result = Table.concat(list(passes))
-            if not result.column_names:
-                # No rows at all: keep the telemetry schema.
-                result = _records_to_table([])
+            # The empty telemetry table leads so that a plan with no
+            # rows keeps the schema; it takes no part in the promotion.
+            result = Table.concat([_records_to_table([]), *passes])
         else:
             result = _store_sink(env, config, passes, store_dir, chunk_rows)
     obs.get_logger("sim").info(

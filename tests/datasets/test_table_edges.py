@@ -36,6 +36,16 @@ class TestEmptyTable:
     def test_concat_of_nothing_is_empty(self):
         assert len(Table.concat([])) == 0
 
+    def test_concat_of_empty_tables_keeps_first_schema(self):
+        a = Table({"x": np.asarray([], dtype=np.int64),
+                   "s": np.asarray([], dtype="U3")})
+        b = Table({"x": np.asarray([], dtype=float),
+                   "s": np.asarray([], dtype="U9")})
+        out = Table.concat([a, b])
+        assert out.column_names == ["x", "s"]
+        assert len(out) == 0
+        assert (out["x"].dtype, out["s"].dtype) == (np.int64, np.dtype("U3"))
+
     def test_concat_skips_empty_tables(self):
         t = Table({"a": [1.0, 2.0]})
         out = Table.concat([Table({"a": np.asarray([], dtype=float)}), t])

@@ -14,7 +14,6 @@ bin shifts predictions far outside it.
 import pathlib
 import sys
 
-import numpy as np
 import pytest
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -23,6 +22,7 @@ import update_goldens  # noqa: E402
 
 from repro.ml.metrics import mae  # noqa: E402
 from repro.ml.preprocessing import train_test_split  # noqa: E402
+from repro.ml.serialize import model_from_dict, model_to_dict  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +79,8 @@ class TestToleranceBites:
         This is the demonstration required of the golden suite: the
         harness is sensitive enough that corrupting a single threshold
         in a single tree produces a metric shift orders of magnitude
-        beyond GOLDEN_RTOL.
+        beyond GOLDEN_RTOL.  The perturbed model is loaded from an
+        edited payload (fitted node arrays are read-only).
         """
         framework = update_goldens._golden_framework()
         X, y, _, _ = framework.design("Airport", "L")
@@ -89,10 +90,10 @@ class TestToleranceBites:
         model = framework._make_regressor("gdbt", "L").fit(X_tr, y_tr)
         baseline = mae(y_te, model.predict(X_te))
 
-        tree = model._trees[0]
-        node = int(np.flatnonzero(tree.feature >= 0)[0])
-        tree.threshold_bin[node] += 1  # the "perturbed tree-split constant"
-        perturbed = mae(y_te, model.predict(X_te))
+        payload = model_to_dict(model)
+        node = next(n for n in payload["trees"][0]["nodes"] if n["f"] >= 0)
+        node["t"] += 1  # the "perturbed tree-split constant"
+        perturbed = mae(y_te, model_from_dict(payload).predict(X_te))
 
         shift = abs(perturbed - baseline) / baseline
         assert shift > 100 * update_goldens.GOLDEN_RTOL, (

@@ -1,4 +1,4 @@
-"""Tests for GBDT model serialization."""
+"""Tests for GBDT model serialization (``model_to_dict`` and friends)."""
 
 import json
 
@@ -7,10 +7,10 @@ import pytest
 
 from repro.ml.gbdt import GBDTClassifier, GBDTRegressor
 from repro.ml.serialize import (
-    gbdt_from_dict,
-    gbdt_from_json,
-    gbdt_to_dict,
-    gbdt_to_json,
+    model_from_dict,
+    model_from_json,
+    model_to_dict,
+    model_to_json,
 )
 
 
@@ -33,18 +33,18 @@ def fitted_classifier():
 class TestRegressorRoundtrip:
     def test_predictions_identical(self):
         model, X, _ = fitted_regressor()
-        clone = gbdt_from_json(gbdt_to_json(model))
+        clone = model_from_json(model_to_json(model))
         np.testing.assert_allclose(clone.predict(X), model.predict(X))
 
     def test_feature_importances_preserved(self):
         model, _, _ = fitted_regressor()
-        clone = gbdt_from_dict(gbdt_to_dict(model))
+        clone = model_from_dict(model_to_dict(model))
         np.testing.assert_allclose(clone.feature_importances_,
                                    model.feature_importances_)
 
     def test_payload_is_valid_json(self):
         model, _, _ = fitted_regressor()
-        payload = gbdt_to_json(model)
+        payload = model_to_json(model)
         parsed = json.loads(payload)
         assert parsed["kind"] == "regressor"
         assert len(parsed["trees"]) == 20
@@ -53,28 +53,28 @@ class TestRegressorRoundtrip:
 class TestClassifierRoundtrip:
     def test_predictions_identical(self):
         model, X, _ = fitted_classifier()
-        clone = gbdt_from_json(gbdt_to_json(model))
+        clone = model_from_json(model_to_json(model))
         assert clone.predict(X).tolist() == model.predict(X).tolist()
         np.testing.assert_allclose(clone.predict_proba(X),
                                    model.predict_proba(X))
 
     def test_classes_preserved(self):
         model, _, _ = fitted_classifier()
-        clone = gbdt_from_dict(gbdt_to_dict(model))
+        clone = model_from_dict(model_to_dict(model))
         assert set(clone.classes_.tolist()) == {"hi", "lo"}
 
 
 class TestValidation:
     def test_unfitted_rejected(self):
         with pytest.raises(ValueError):
-            gbdt_to_dict(GBDTRegressor())
+            model_to_dict(GBDTRegressor())
 
     def test_bad_version_rejected(self):
         model, _, _ = fitted_regressor()
-        data = gbdt_to_dict(model)
+        data = model_to_dict(model)
         data["format_version"] = 999
         with pytest.raises(ValueError):
-            gbdt_from_dict(data)
+            model_from_dict(data)
 
 
 class TestTelemetryRoundtrip:
@@ -82,13 +82,13 @@ class TestTelemetryRoundtrip:
         model, _, _ = fitted_regressor()
         assert model.fit_telemetry_["model"] == "gbdt_regressor"
         assert model.fit_telemetry_["rounds_completed"] == 20
-        clone = gbdt_from_json(gbdt_to_json(model))
+        clone = model_from_json(model_to_json(model))
         assert clone.fit_telemetry_ == model.fit_telemetry_
 
     def test_telemetry_key_optional(self):
         model, X, _ = fitted_regressor()
-        data = gbdt_to_dict(model)
+        data = model_to_dict(model)
         del data["telemetry"]  # payloads from older builds lack the key
-        clone = gbdt_from_dict(data)
+        clone = model_from_dict(data)
         assert clone.fit_telemetry_ is None
         np.testing.assert_allclose(clone.predict(X), model.predict(X))

@@ -1,7 +1,7 @@
 """Serialize round-trips for forests, scalers, pipelines and dispatch.
 
-``tests/ml/test_serialize.py`` covers the original GBDT entry points;
-this file covers what the serving registry added: RandomForest
+``tests/ml/test_serialize.py`` covers the GBDT family; this file covers
+what the serving registry added: RandomForest
 (regressor + classifier), StandardScaler, PredictionPipeline, and the
 generic ``model_to_dict`` / ``model_from_dict`` dispatch the registry
 speaks.  Every round-trip must reproduce predictions exactly.
@@ -17,8 +17,6 @@ from repro.ml.gbdt import GBDTRegressor
 from repro.ml.knn import KNNRegressor
 from repro.ml.preprocessing import PredictionPipeline, StandardScaler
 from repro.ml.serialize import (
-    forest_from_dict,
-    forest_to_dict,
     model_from_dict,
     model_from_json,
     model_to_dict,
@@ -42,7 +40,7 @@ class TestForestRoundtrip:
         X, y = _data()
         model = RandomForestRegressor(n_estimators=10, max_depth=6,
                                       random_state=0).fit(X, y)
-        clone = forest_from_dict(forest_to_dict(model))
+        clone = model_from_dict(model_to_dict(model))
         np.testing.assert_array_equal(clone.predict(X), model.predict(X))
 
     def test_classifier_proba_and_classes_identical(self):
@@ -50,7 +48,7 @@ class TestForestRoundtrip:
         y = np.where(X[:, 0] > 0, "hi", "lo").astype(object)
         model = RandomForestClassifier(n_estimators=8, max_depth=5,
                                        random_state=0).fit(X, y)
-        clone = forest_from_dict(forest_to_dict(model))
+        clone = model_from_dict(model_to_dict(model))
         np.testing.assert_array_equal(clone.predict_proba(X),
                                       model.predict_proba(X))
         assert clone.predict(X).tolist() == model.predict(X).tolist()
@@ -61,21 +59,21 @@ class TestForestRoundtrip:
         model = RandomForestRegressor(n_estimators=3, random_state=0).fit(X, y)
         assert model.fit_telemetry_["model"] == "rf_regressor"
         assert model.fit_telemetry_["n_trees"] == 3
-        clone = forest_from_dict(forest_to_dict(model))
+        clone = model_from_dict(model_to_dict(model))
         assert clone.fit_telemetry_ == model.fit_telemetry_
 
     def test_unfitted_rejected(self):
         with pytest.raises(ValueError):
-            forest_to_dict(RandomForestRegressor())
+            model_to_dict(RandomForestRegressor())
 
     def test_bad_version_rejected(self):
         X, y = _data(seed=3)
-        payload = forest_to_dict(
+        payload = model_to_dict(
             RandomForestRegressor(n_estimators=2, random_state=0).fit(X, y)
         )
         payload["format_version"] = 999
         with pytest.raises(ValueError):
-            forest_from_dict(payload)
+            model_from_dict(payload)
 
 
 class TestScalerRoundtrip:

@@ -18,11 +18,14 @@ import pytest
 
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.gbdt import GBDTClassifier, GBDTRegressor
-from repro.ml.tree import FeatureBinner, HistogramTree, TreeParams
+from repro.ml.tree import (
+    NODE_ARRAYS,
+    FeatureBinner,
+    HistogramTree,
+    TreeParams,
+)
 
-#: Every node array of a grown tree (see HistogramTree).
-NODE_ARRAYS = ("feature", "threshold_bin", "left", "right", "n_samples",
-               "gain", "value")
+from _tree_oracles import grow_reference, reference_fit_binned_chunks
 
 
 def _data(n=600, d=5, seed=0):
@@ -105,8 +108,8 @@ class TestTreeStream:
 
         stream = HistogramTree(params).fit_binned_chunks(
             chunks, n_bins=binner.n_bins_)
-        oracle = HistogramTree(params)._grow_reference(
-            [(b, g, None) for b, g in parts], np.random.default_rng())
+        oracle = grow_reference(params, [(b, g, None) for b, g in parts],
+                                np.random.default_rng())
         return ref, stream, oracle, binned
 
     def test_single_chunk_bit_identical(self):
@@ -183,8 +186,7 @@ class TestGBDTStream:
         # Bit for bit what the reference grower makes of these chunks.
         with pytest.MonkeyPatch.context() as m:
             m.setattr(HistogramTree, "fit_binned_chunks",
-                      lambda tree, stream, rng=None, n_bins=None:
-                      tree._grow_reference(list(stream()), rng))
+                      reference_fit_binned_chunks)
             oracle = GBDTRegressor(**self.PARAMS).fit_binned_stream(
                 chunks, binner)
         assert oracle.predict(X).tobytes() == est.predict(X).tobytes()

@@ -4,7 +4,8 @@ The level-order grower behind every tree fit (``HistogramTree.fit`` is
 its one-chunk case, ``fit_binned_chunks`` the general one: offset-bincount
 histograms, histogram subtraction with exact near-tie re-scoring,
 vectorized split search) must reproduce the reference grower --
-``_grow_reference``, kept precisely for these tests -- *exactly*, at one
+``grow_reference`` in ``tests/ml/_tree_oracles.py``, kept precisely for
+these tests -- *exactly*, at one
 chunk and at three: same node order, same splits, same float leaf values
 and gains, same ``feature_gain_``.  Both sum per chunk in chunk order and
 draw ``max_features`` subsets in level order.  That is what lets
@@ -21,12 +22,18 @@ import pytest
 
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
 from repro.ml.gbdt import GBDTClassifier, GBDTQuantileRegressor, GBDTRegressor
-from repro.ml.tree import FeatureBinner, HistogramTree, TreeParams
+from repro.ml.tree import (
+    NODE_ARRAYS,
+    FeatureBinner,
+    HistogramTree,
+    TreeParams,
+)
 
-
-#: Every node array of a grown tree (see HistogramTree).
-NODE_ARRAYS = ("feature", "threshold_bin", "left", "right", "n_samples",
-               "gain", "value")
+from _tree_oracles import (
+    fit_reference,
+    grow_reference,
+    reference_fit_binned_chunks,
+)
 
 
 def _assert_same_tree(got: HistogramTree, want: HistogramTree):
@@ -51,20 +58,22 @@ def _chunked(binned, grad, hess, n_chunks):
 def _grow_both(binned, grad, hess, params, seed, n_bins=None, n_chunks=1):
     """The same fit through the grower and the reference grower.
 
-    One chunk goes through ``fit``, more through ``fit_binned_chunks``.
-    Each gets a fresh rng from the same seed so feature subsampling
-    draws are comparable."""
+    One chunk goes through ``fit`` and ``fit_reference``, more through
+    ``fit_binned_chunks`` and ``grow_reference``.  Each gets a fresh rng
+    from the same seed so feature subsampling draws are comparable."""
     parts = _chunked(binned, grad, hess, n_chunks)
     grower = HistogramTree(params)
     if n_chunks == 1:
         grower.fit(binned, grad, hess, rng=np.random.default_rng(seed),
                    n_bins=n_bins)
+        reference = fit_reference(params, binned, grad, hess,
+                                  np.random.default_rng(seed))
     else:
         grower.fit_binned_chunks(lambda: iter(parts),
                                  rng=np.random.default_rng(seed),
                                  n_bins=n_bins)
-    reference = HistogramTree(params)._grow_reference(
-        parts, np.random.default_rng(seed))
+        reference = grow_reference(params, parts,
+                                   np.random.default_rng(seed))
     return grower, reference
 
 
@@ -258,11 +267,8 @@ class TestGrowthEquivalence:
 
 def _reference_growth(monkeypatch):
     """Route every tree fit through the reference grower."""
-    def grow(self, chunks, rng=None, n_bins=None):
-        return self._grow_reference(list(chunks()),
-                                    rng or np.random.default_rng())
-
-    monkeypatch.setattr(HistogramTree, "fit_binned_chunks", grow)
+    monkeypatch.setattr(HistogramTree, "fit_binned_chunks",
+                        reference_fit_binned_chunks)
 
 
 class TestModelLevelEquivalence:

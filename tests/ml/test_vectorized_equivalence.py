@@ -4,17 +4,19 @@ The serving layer leans on the one ensemble traversal in
 ``repro.ml.tree`` (``_descend``: every (row, tree) pair of a batch
 descends level by level at once); ``HistogramTree.predict_binned`` /
 ``apply`` are its one-tree case.  The pre-vectorization group-loop
-traversal survives as ``predict_binned_slow`` / ``apply_slow`` precisely
-so these property tests can demand *exact* agreement -- same dtype, same
+traversal survives as ``predict_binned_slow`` / ``apply_slow``
+(``tests/ml/_tree_oracles.py``) precisely so these property tests can
+demand *exact* agreement -- same dtype, same
 bits -- on seeded random inputs, including NaN and out-of-range feature
 values.  Model-level checks compare the full ``predict`` /
 ``predict_proba`` / ``staged_errors`` paths of all five ensemble
 families against an explicit oracle written here: the slow traversal
 run tree by tree, its outputs accumulated in tree order the way the
 per-tree prediction loops did.  Edge cases ride along: leaf-only trees,
-trees of unequal depth, unbounded forest depth, 0 and 1 rows, batches
-spanning the traversal's row blocks and trees changed after fit.  A
-guard counts traversal calls: one per row block, never one per tree.
+trees of unequal depth swapped in through ``_set_trees``, unbounded
+forest depth, 0 and 1 rows, batches spanning the traversal's row blocks,
+read-only node arrays and splits perturbed through an edited payload.
+A guard counts traversal calls: one per row block, never one per tree.
 """
 
 import numpy as np
@@ -28,7 +30,15 @@ from repro.ml.gbdt import (
     GBDTRegressor,
     softmax,
 )
-from repro.ml.tree import FeatureBinner, HistogramTree, TreeParams
+from repro.ml.serialize import model_from_dict, model_to_dict
+from repro.ml.tree import (
+    NODE_ARRAYS,
+    FeatureBinner,
+    HistogramTree,
+    TreeParams,
+)
+
+from _tree_oracles import apply_slow, predict_binned_slow
 
 
 def _weird_matrix(rng, n, d, scale=3.0):
@@ -68,7 +78,7 @@ class TestHistogramTreeEquivalence:
         tree = _grown_tree(rng)
         binned = rng.integers(0, 32, size=(500, 5)).astype(np.uint8)
         _assert_bit_identical(tree.predict_binned(binned),
-                              tree.predict_binned_slow(binned))
+                              predict_binned_slow(tree, binned))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_apply_matches_slow(self, seed):
@@ -76,7 +86,7 @@ class TestHistogramTreeEquivalence:
         tree = _grown_tree(rng)
         binned = rng.integers(0, 32, size=(500, 5)).astype(np.uint8)
         leaves = tree.apply(binned)
-        leaves_slow = tree.apply_slow(binned)
+        leaves_slow = apply_slow(tree, binned)
         assert np.array_equal(leaves, leaves_slow)
         assert (tree.feature[np.unique(leaves)] < 0).all()
 
@@ -86,7 +96,7 @@ class TestHistogramTreeEquivalence:
         binned = rng.integers(0, 32, size=(400, 5)).astype(np.uint8)
         pred = tree.predict_binned(binned)
         assert pred.shape == (400, 3)
-        _assert_bit_identical(pred, tree.predict_binned_slow(binned))
+        _assert_bit_identical(pred, predict_binned_slow(tree, binned))
 
     def test_stump_and_single_leaf_trees(self):
         rng = np.random.default_rng(11)
@@ -95,13 +105,13 @@ class TestHistogramTreeEquivalence:
         stump = HistogramTree(TreeParams(max_depth=1, min_samples_leaf=2))
         stump.fit(binned, rng.normal(size=60), np.ones((60, 1)), rng=rng)
         _assert_bit_identical(stump.predict_binned(binned),
-                              stump.predict_binned_slow(binned))
+                              predict_binned_slow(stump, binned))
         # Root-only tree (depth 0): every row stays at node 0.
         leaf = HistogramTree(TreeParams(max_depth=0))
         leaf.fit(binned, rng.normal(size=60), np.ones((60, 1)), rng=rng)
         assert np.array_equal(leaf.apply(binned), np.zeros(60, dtype=int))
         _assert_bit_identical(leaf.predict_binned(binned),
-                              leaf.predict_binned_slow(binned))
+                              predict_binned_slow(leaf, binned))
 
     def test_empty_batch(self):
         rng = np.random.default_rng(13)
@@ -112,16 +122,21 @@ class TestHistogramTreeEquivalence:
 
     def test_split_feature_past_last_column_raises(self):
         """Codes are read at flat row offsets, so a split on a feature the
-        batch does not have must raise, not read the next row's codes."""
+        batch does not have must raise, not read the next row's codes --
+        through one tree and through the stacked ensemble."""
         rng = np.random.default_rng(19)
-        tree = _grown_tree(rng)
+        X = rng.normal(size=(300, 5))
+        model = GBDTRegressor(n_estimators=3, max_depth=4,
+                              random_state=0).fit(X, X[:, 0] - X[:, 3])
+        payload = model_to_dict(model)
+        assert payload["trees"][0]["nodes"][0]["f"] >= 0
+        payload["trees"][0]["nodes"][0]["f"] = 5
+        broken = model_from_dict(payload)
         binned = rng.integers(0, 32, size=(50, 5)).astype(np.uint8)
-        tree.feature[0] = 5
         with pytest.raises(IndexError):
-            tree.apply(binned)
+            broken._trees[0].apply(binned)
         with pytest.raises(IndexError):
-            tree_mod._ensemble_sums([tree], binned, tree.value,
-                                    np.zeros((50, 1)))
+            broken.predict_binned(binned)
 
     def test_refit_invalidates_flat_cache(self):
         """A refit replaces the node arrays and the next prediction reads
@@ -134,7 +149,7 @@ class TestHistogramTreeEquivalence:
         binned2 = FeatureBinner(max_bins=32).fit_transform(X2)
         tree.fit(binned2, rng.normal(size=300), np.ones((300, 1)), rng=rng)
         _assert_bit_identical(tree.predict_binned(binned2),
-                              tree.predict_binned_slow(binned2))
+                              predict_binned_slow(tree, binned2))
 
 
 # --------------------------------------------------------------------------- #
@@ -158,11 +173,11 @@ def _slow_gbdt_stages(model, X) -> list[np.ndarray]:
     stages = []
     for i, tree in enumerate(model._trees):
         if isinstance(model, GBDTQuantileRegressor):
-            step = model._leaf_values[i][tree.apply_slow(binned)]
+            step = model._leaf_values[i][apply_slow(tree, binned)]
         elif isinstance(model, GBDTClassifier):
-            step = tree.predict_binned_slow(binned)
+            step = predict_binned_slow(tree, binned)
         else:
-            step = tree.predict_binned_slow(binned)[:, 0]
+            step = predict_binned_slow(tree, binned)[:, 0]
         score += model.learning_rate * step
         stages.append(score.copy())
     return stages
@@ -174,7 +189,7 @@ def _slow_forest_mean(model, X) -> np.ndarray:
     binned = _binned(model, X)
     acc = np.zeros((len(binned), model._trees[0].n_outputs))
     for tree in model._trees:
-        acc += tree.predict_binned_slow(binned)
+        acc += predict_binned_slow(tree, binned)
     return acc / len(model._trees)
 
 
@@ -337,11 +352,15 @@ class TestEnsembleEdgeCases:
         rng = np.random.default_rng(210)
         model, X, y = _fit(family, rng, max_depth=5)
         shallow, _, _ = _fit(family, np.random.default_rng(210), max_depth=0)
-        # Every third tree becomes a lone leaf (with its refit values).
-        for i in range(0, len(model._trees), 3):
-            model._trees[i] = shallow._trees[i]
+        model.predict(X)  # stacks the deep trees
+        # Every third tree becomes a lone leaf (with its refit values),
+        # swapped in through _set_trees, which restacks the ensemble.
+        trees = list(model._trees)
+        for i in range(0, len(trees), 3):
+            trees[i] = shallow._trees[i]
             if family == "gbdt_quantile":
                 model._leaf_values[i] = shallow._leaf_values[i]
+        model._set_trees(trees)
         depths = {t.depth for t in model._trees}
         assert 0 in depths and len(depths) > 1
         _check_all(model, rng, X, y)
@@ -355,18 +374,26 @@ class TestEnsembleEdgeCases:
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_tree_mutated_after_fit(self, family):
-        """Splits changed in place after a prediction are honoured by the
-        next one: the ensemble's node arrays are gathered on every call."""
+        """A fitted tree's node arrays are read-only, so the ensemble's
+        stacked arrays cannot go stale: a write in place raises and
+        leaves the predictions as they were.  Changed splits come from
+        an edited payload, and the model it loads predicts them."""
         rng = np.random.default_rng(230)
         model, X, y = _fit(family, rng)
         before = model.predict(X)
-        for tree in model._trees[::2]:
-            inner = tree.feature >= 0
-            tree.threshold_bin[inner] = rng.integers(
-                0, 8, size=int(inner.sum()))
-        after = model.predict(X)
-        assert after.tolist() != before.tolist()
-        _check_all(model, rng, X, y)
+        for tree in model._trees:
+            for name in NODE_ARRAYS:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(tree, name)[0] = 1
+        assert model.predict(X).tolist() == before.tolist()
+        payload = model_to_dict(model)
+        for tree in payload["trees"][::2]:
+            for node in tree["nodes"]:
+                if node["f"] >= 0:
+                    node["t"] = int(rng.integers(0, 8))
+        perturbed = model_from_dict(payload)
+        assert perturbed.predict(X).tolist() != before.tolist()
+        _check_all(perturbed, rng, X, y)
 
 
 class TestOneTraversalPerRowBlock:

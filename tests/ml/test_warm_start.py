@@ -21,7 +21,7 @@ from repro.ml.gbdt import (
     GBDTRegressor,
 )
 from repro.ml.serialize import model_from_dict, model_to_dict
-from repro.ml.tree import FeatureBinner
+from repro.ml.tree import FeatureBinner, HistogramTree
 
 N_TOTAL = 24
 SPLITS = [1, 8, 23]
@@ -142,6 +142,27 @@ class TestQuantileEquivalence:
         warm = _quantile(k, subsample=0.7).fit(X, y)
         warm.fit_more(N_TOTAL - k, X, y)
         _assert_same_model(cold, warm, X)
+
+    def test_interrupted_fit_more_keeps_completed_rounds(self, monkeypatch):
+        """A round that raises leaves the rounds before it in the model,
+        each tree beside its refit leaf values: the model is the cold
+        fit of that many rounds."""
+        X, y = _data()
+        model = _quantile(8).fit(X, y)
+        grow, grown = HistogramTree.fit_binned_chunks, []
+
+        def fourth_fails(tree, *args, **kwargs):
+            grown.append(tree)
+            if len(grown) == 4:
+                raise RuntimeError("interrupted")
+            return grow(tree, *args, **kwargs)
+
+        monkeypatch.setattr(HistogramTree, "fit_binned_chunks", fourth_fails)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            model.fit_more(6, X, y)
+        monkeypatch.undo()
+        assert len(model._trees) == len(model._leaf_values) == 11
+        _assert_same_model(_quantile(11).fit(X, y), model, X)
 
 
 class TestClassifierEquivalence:

@@ -311,24 +311,10 @@ ROWS = [
      "def f(m, X, y):\n    m.fit(X, y)\n",
      {(2, "serve.no-fit"), (1, "serve.obs")}),
     # -- tree -------------------------------------------------------------- #
-    ("tree.flags_fit_reference_call", "ml/gbdt.py",
-     "def train(tree, binned, grad, hess):\n"
-     "    return tree.fit_reference(binned, grad, hess)\n",
-     {(2, "tree.reference-call")}),
-    ("tree.flags_slow_traversal_call", "ml/gbdt.py",
-     "def infer(tree, binned):\n    return tree.predict_binned_slow(binned)\n",
-     {(2, "tree.reference-call")}),
-    ("tree.fast_calls_allowed", "ml/gbdt.py",
-     "def train(tree, binned, grad, hess):\n"
-     "    tree.fit(binned, grad, hess)\n"
-     "    return tree.predict_binned(binned)\n", set()),
     ("tree.flags_row_gather_on_hot_path", "ml/tree.py",
      "def _grow(binned, grad, idx):\n    codes = binned[idx]\n"
      "    g = grad[idx]\n    return codes, g\n",
      {(2, "tree.row-gather"), (3, "tree.row-gather")}),
-    ("tree.row_gather_allowed_in_reference_functions", "ml/tree.py",
-     "def _grow_reference(binned, grad, idx):\n"
-     "    return binned[idx], grad[idx]\n", set()),
     ("tree.row_gather_allowed_in_grower_gather", "ml/tree.py",
      "class _Grower:\n    def _gather(self, binned, grad, hess, r):\n"
      "        return binned[r], grad[r], hess[r]\n", set()),

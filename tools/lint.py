@@ -48,15 +48,6 @@ PROMOTION_METHODS = frozenset({
     "set_shadow", "clear_shadow", "set_canary", "clear_canary",
 })
 
-#: The tree's reference implementations (defined to be slow), plus the
-#: grower's per-chunk ``_gather``, whose row copy is bounded by
-#: ``chunk_rows``: the only functions that may gather rows or call a
-#: reference implementation.
-SLOW_FUNCS = frozenset({
-    "fit_reference", "_grow_reference", "predict_binned_slow", "apply_slow",
-    "_gather",
-})
-
 _FIT_METHODS = {"fit", "fit_transform", "partial_fit"}
 _POOLS = {"Pool", "ProcessPoolExecutor"}
 _WRITE_CALLS = {"write_text", "replace", "rename", "open", "dump", "write"}
@@ -304,14 +295,11 @@ RULES: tuple[Rule, ...] = (
           "serve/registry.py"), _obs(),
          "request-path module without any repro.obs instrumentation "
          "(qps/latency/cache metrics are part of the serving contract)"),
-    Rule("tree.reference-call", BANNED, ("*",),
-         _method("fit_reference", "_grow_reference", "predict_binned_slow",
-                 "apply_slow"),
-         "reference implementations are for tests/benchmarks only; "
-         "library code must use the fast grower", exempt_funcs=SLOW_FUNCS),
+    # The grower's per-chunk _gather, whose row copy is bounded by the
+    # chunk size, is the only function that may gather rows.
     Rule("tree.row-gather", BANNED, ("ml/tree.py",), _row_gather,
          "row gather in the tree growth hot path; gather rows through "
-         "the grower's _gather", exempt_funcs=SLOW_FUNCS),
+         "the grower's _gather", exempt_funcs=frozenset({"_gather"})),
 )
 
 _BY_ID = {rule.id: rule for rule in RULES}
