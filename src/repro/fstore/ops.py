@@ -4,8 +4,10 @@ Every op is **stateless and deterministic**: its output is a pure
 function of its input column(s) and parameters.  That is the property
 the feature store's parity guarantee rests on -- the offline batch
 materializer and the online single-row path both execute *the same op
-implementations* (`Op.batch`), offline on full columns and online on
-length-1 arrays, so the float64 outputs are bit-identical by
+kernels*, offline on full columns and online on the one row's values
+(one kernel call per group of like features, see
+:meth:`repro.fstore.views.FeatureView.transform_row`), and the kernels
+are elementwise, so the float64 outputs are bit-identical by
 construction (and proven so by ``tests/fstore/``).
 
 Two op kinds exist:
@@ -75,12 +77,17 @@ def _cast(values: np.ndarray) -> np.ndarray:
     return _as_float(values)
 
 
+def _cyclic(values: np.ndarray) -> np.ndarray:
+    """(sin, cos) columns of angles in degrees (shared by both ops)."""
+    return cyclic_encode(values)
+
+
 def _cyclic_sin(values: np.ndarray) -> np.ndarray:
-    return cyclic_encode(values)[:, 0]
+    return _cyclic(values)[:, 0]
 
 
 def _cyclic_cos(values: np.ndarray) -> np.ndarray:
-    return cyclic_encode(values)[:, 1]
+    return _cyclic(values)[:, 1]
 
 
 def _sentinel_nan(values: np.ndarray, *, threshold: float) -> np.ndarray:
@@ -184,14 +191,16 @@ class LagStream:
         return out
 
 
-def _lag_online(row: Mapping, source: str, *, lag: int) -> float:
-    """Online equivalent of :func:`lag_within_runs` for one row.
+def _lag_online(row: Mapping, source: str,
+                params: Sequence[Mapping]) -> list[float]:
+    """Online equivalent of :func:`lag_within_runs`: one row, many lags.
 
     With the row's full within-run history supplied (``past_throughput``
-    = every previous sample, most recent first) this is exactly the
-    offline value: ``history[lag-1]`` when the run is old enough, else
+    = every previous sample, most recent first) each value is exactly
+    the offline one: ``history[lag-1]`` when the run is old enough, else
     the run's first sample (the oldest history entry, or the current
-    value for a run's very first row).
+    value for a run's very first row).  ``params`` holds one lag
+    feature's parameters each; the history is validated once for all.
     """
     history = row.get(PAST_THROUGHPUT_FIELD) or ()
     if not isinstance(history, (Sequence, np.ndarray)) or isinstance(
@@ -201,11 +210,11 @@ def _lag_online(row: Mapping, source: str, *, lag: int) -> float:
             f"{PAST_THROUGHPUT_FIELD!r} must be a sequence of floats "
             "(most recent first)"
         )
-    if len(history) >= lag:
-        return float(history[lag - 1])
-    if len(history):
-        return float(history[-1])
-    return float(row[source])
+    depth = len(history)
+    return [float(history[lag - 1]) if depth >= lag
+            else float(history[-1]) if depth
+            else float(row[source])
+            for lag in (p["lag"] for p in params)]
 
 
 # --------------------------------------------------------------------------- #
@@ -217,20 +226,28 @@ def _lag_online(row: Mapping, source: str, *, lag: int) -> float:
 class Op:
     """One registered transform.
 
-    ``batch`` maps input column(s) to one float64 output column and is
-    used by *both* execution modes; ``windowed`` marks ops whose batch
-    form needs the run-id column and whose online form reads history
-    fields off the request row.
+    ``batch`` maps input column(s) to one float64 output column;
+    ``windowed`` marks ops whose batch form needs the run-id column and
+    whose online form reads history fields off the request row.  A
+    rowwise op's online form is its ``batch`` kernel run once over the
+    row's values of every feature sharing the op and parameters, or --
+    where ops share a multi-column ``kernel`` (cyclic sin and cos) --
+    that kernel run once per source, of which this op is ``column``.
     """
 
     name: str
     batch: callable
     windowed: bool = False
+    #: Windowed ops: ``online(row, source, params)`` -> the row's value
+    #: for each feature's parameter dict in ``params``.
     online: callable | None = None
     #: Factory (``stream(**params)``) for a stateful chunked executor
     #: with ``apply(values, run_ids)``; only windowed ops need one --
     #: rowwise ops are chunk-safe and stream through ``apply_batch``.
     stream: callable | None = None
+    #: A multi-column kernel several ops share, and this op's column.
+    kernel: callable | None = None
+    column: int | None = None
 
     def apply_batch(self, columns: Sequence[np.ndarray],
                     params: Mapping) -> np.ndarray:
@@ -246,29 +263,14 @@ class Op:
             raise ValueError(f"op {self.name!r} has no streaming form")
         return self.stream(**params)
 
-    def apply_row(self, row: Mapping, source: Sequence[str],
-                  params: Mapping) -> float:
-        """One row -> one float64 value, bit-identical to apply_batch.
-
-        Rowwise ops route the scalar through the *same* batch kernel on
-        a length-1 array, so any numpy behavior (NaN handling, sentinel
-        comparison, trig) is shared rather than re-implemented.
-        """
-        if self.windowed:
-            return self.online(row, source[0], **params)
-        value = row[source[0]]
-        cell = np.asarray([value]) if not isinstance(value, str) \
-            else np.asarray([value], dtype=object)
-        return float(self.batch(cell, **params)[0])
-
 
 #: Every op a view definition may reference.
 OPS: dict[str, Op] = {
     op.name: op
     for op in (
         Op("cast", _cast),
-        Op("cyclic_sin", _cyclic_sin),
-        Op("cyclic_cos", _cyclic_cos),
+        Op("cyclic_sin", _cyclic_sin, kernel=_cyclic, column=0),
+        Op("cyclic_cos", _cyclic_cos, kernel=_cyclic, column=1),
         Op("sentinel_nan", _sentinel_nan),
         Op("flag_equals", _flag_equals),
         Op("lag", lag_within_runs, windowed=True, online=_lag_online,

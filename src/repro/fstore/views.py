@@ -11,6 +11,8 @@ definition is compiled into two execution modes,
 * :meth:`FeatureView.transform_row` -- a single request dict to a
   float64 feature vector with no table allocation (the online/serving
   path; wrapped by :class:`repro.fstore.online.OnlineFeatureServer`),
+  run through a row plan compiled once per view that makes one kernel
+  call per group of like features,
 
 and the two are bit-identical by construction (``tests/fstore/``).
 
@@ -42,8 +44,9 @@ as ``table[column] -> np.ndarray`` mappings with a length.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -160,6 +163,75 @@ class FeatureSpec:
                         **dict(data.get("params") or {}))
 
 
+def _cells(row: Mapping, sources: Sequence[str]) -> np.ndarray:
+    """The row's values of ``sources`` as one object array.
+
+    Object dtype keeps each value as the row gave it (a numeric string,
+    ``None``, a bool), so a kernel's float cast treats it exactly as it
+    would a one-value column.  A value that is itself a sequence is not
+    a scalar reading and raises ``TypeError``.
+    """
+    values = [row[s] for s in sources]
+    for s, v in zip(sources, values):
+        if isinstance(v, (list, tuple, np.ndarray)) and np.ndim(v):
+            raise TypeError(f"field {s!r} must be a scalar, "
+                            f"got {type(v).__name__}")
+    return np.array(values, dtype=object)
+
+
+class _RowPlan:
+    """A view's online execution, compiled once: one kernel call a group.
+
+    Rowwise features that share an op kernel and its parameters form one
+    group: the row's values of their sources go through the kernel in
+    one call and scatter to the features' slots, ``out[idx] =
+    kernel(values)[at]``.  Ops sharing a multi-column kernel (cyclic sin
+    and cos) join one group, so each cyclic source is encoded once and
+    both its columns come from that one encoding.  Windowed features
+    group by op and source, so a row's history is validated once for
+    all of its lags.  Kernels are elementwise, so every value equals
+    the one the op computes for the same field as a one-value column.
+    """
+
+    __slots__ = ("n", "rowwise", "windowed")
+
+    def __init__(self, features: Sequence[FeatureSpec]):
+        self.n = len(features)
+        rowwise: dict = {}
+        windowed: dict = {}
+        for i, f in enumerate(features):
+            op = OPS[f.op]
+            if op.windowed:
+                key = (op.online, f.source[0])
+                windowed.setdefault(key, []).append((i, f.param_dict))
+            else:
+                key = (op.kernel or op.batch, f.params)
+                rowwise.setdefault(key, []).append((i, f.source[0],
+                                                    op.column))
+        self.rowwise = []
+        for (kernel, params), members in rowwise.items():
+            sources = tuple(dict.fromkeys(src for _, src, _ in members))
+            idx = np.array([i for i, _, _ in members])
+            at = np.array([sources.index(src) for _, src, _ in members])
+            if members[0][2] is not None:  # a multi-column kernel
+                at = (at, np.array([col for _, _, col in members]))
+            self.rowwise.append((partial(kernel, **dict(params)), sources,
+                                 idx, at))
+        self.windowed = [
+            (online, source, np.array([i for i, _ in members]),
+             [p for _, p in members])
+            for (online, source), members in windowed.items()
+        ]
+
+    def __call__(self, row: Mapping) -> np.ndarray:
+        out = np.empty(self.n, dtype=np.float64)
+        for kernel, sources, idx, at in self.rowwise:
+            out[idx] = kernel(_cells(row, sources))[at]
+        for online, source, idx, params in self.windowed:
+            out[idx] = online(row, source, params)
+        return out
+
+
 @dataclass(frozen=True)
 class FeatureView:
     """A named, versioned feature definition -- compiled, never edited.
@@ -223,19 +295,22 @@ class FeatureView:
              else np.empty((len(table), 0)))
         return FeatureMatrix(spec=self.name, names=self.names, X=X)
 
+    @cached_property
+    def _row_plan(self) -> _RowPlan:
+        return _RowPlan(self.features)
+
     def transform_row(self, row: Mapping) -> np.ndarray:
         """Online execution: one request dict -> float64 feature vector.
 
-        No table is built; each op runs on the row's scalar (length-1
-        array), which is bit-identical to its batch output.  Raises
-        ``KeyError`` on a missing source field and ``TypeError`` /
-        ``ValueError`` on malformed values -- callers turn those into
-        bad-request responses.
+        No table is built; the view's row plan runs each group of like
+        features through its batch kernel in one call, which is
+        bit-identical to the batch output.  Raises ``KeyError`` on a
+        missing source field and ``TypeError`` / ``ValueError`` on
+        malformed values -- callers turn those into bad-request
+        responses.  With several malformed fields, which one raises
+        follows the plan's group order, not the feature order.
         """
-        out = np.empty(len(self.features), dtype=np.float64)
-        for i, f in enumerate(self.features):
-            out[i] = OPS[f.op].apply_row(row, f.source, f.param_dict)
-        return out
+        return self._row_plan(row)
 
 
 # --------------------------------------------------------------------------- #

@@ -11,17 +11,22 @@ over a fleet of :class:`~repro.gateway.shard.PredictorShard`\\ s:
   or an open shard breaker sheds the request with a 429-style response
   *now* instead of queueing it into a latency grave,
 * responses return **per connection in request order**: a writer task
-  per connection awaits each pending future in sequence
-  (``asyncio.wrap_future`` bridges the batcher's
-  ``concurrent.futures`` world into the loop) and stamps
-  ``shard``/``model_version``/``trace`` metadata onto the wire,
+  per connection settles each pending shard future in sequence and
+  stamps ``shard``/``model_version``/``trace`` metadata onto the wire.
+  A future the batcher already resolved is read directly
+  (:func:`_outcome`); only an unresolved one is awaited through
+  ``asyncio.wrap_future``, the bridge from the batcher's
+  ``concurrent.futures`` world into the loop.  The batcher resolves a
+  whole micro-batch at once, so a batch costs the loop about one
+  cross-thread wake-up, not one per request,
 * :meth:`AsyncGateway.swap` installs a new model version on every shard
   without dropping in-flight requests -- each response carries exactly
   the version it was admitted under (generation swap, never torn).
 
 The event loop itself never blocks: parsing, routing and admission are
 in-memory; prediction runs on shard batcher threads (or worker
-processes); waiting is always an ``await``.  ``tools/lint.py``
+processes); waiting is always an ``await``, and the one synchronous
+future read refuses a future that is not resolved.  ``tools/lint.py``
 enforces it (rule ``gateway.async-blocking``).
 
 Entry points: :meth:`handle_connection` (one async line stream in,
@@ -135,6 +140,26 @@ class GatewayStats:
         """Whether the run's availability error budget was spent."""
         verdict = (self.telemetry or {}).get("last_evaluation") or {}
         return bool(verdict.get("budget_burned"))
+
+
+def _outcome(fut):
+    """The outcome of a resolved shard future: its result, or its raise.
+
+    Synchronous on purpose -- the writer reads a future the batcher has
+    already resolved without a trip through the event loop -- and safe
+    for the loop only because it refuses a future that is still
+    pending instead of blocking on it.
+    """
+    if not fut.done():
+        raise RuntimeError("shard future is still pending")
+    return fut.result()
+
+
+async def _resolved(fut):
+    """A shard future's outcome; only a pending one costs a loop hop."""
+    if fut.done():
+        return _outcome(fut)
+    return await asyncio.wrap_future(fut)
 
 
 class _ShadowState:
@@ -494,7 +519,7 @@ class AsyncGateway:
             shadow_val = None
             failed = False
             try:
-                result = await asyncio.wrap_future(shadow_fut)
+                result = await _resolved(shadow_fut)
             except Exception as exc:
                 failed = True
                 shadow.failures += 1
@@ -507,7 +532,7 @@ class AsyncGateway:
                 shadow_val = float(shadow.codec.drift_value(result))
             primary_val = None
             try:
-                p_result = await asyncio.wrap_future(primary_fut)
+                p_result = await _resolved(primary_fut)
             except Exception:
                 # The serving-path settlement already failed this
                 # request for the client; here it only means no pair.
@@ -529,14 +554,17 @@ class AsyncGateway:
             }
 
     async def _settle(self, entry) -> dict:
-        """One response dict for one admitted entry (awaits the future)."""
+        """One response dict for one admitted entry.
+
+        A resolved future is read in place; a pending one is awaited.
+        """
         req, pending, tid, shard_index, version = entry
         if isinstance(pending, dict):
             response = pending
         else:
             codec = self._codecs[version]
             try:
-                result = await asyncio.wrap_future(pending)
+                result = await _resolved(pending)
             except DeadlineExceeded as exc:
                 self._deadline_exceeded += 1
                 if self.telemetry is not None:
@@ -578,7 +606,10 @@ class AsyncGateway:
         included).  Responses come back in request order -- a per-
         connection writer task settles pending futures in sequence, so
         slow rows on one connection never reorder (or block) another
-        connection's stream.
+        connection's stream.  The writer drains every already-resolved
+        response without yielding to the loop -- at most one admission
+        window per shard it uses -- and yields at the first pending
+        future.
         """
         self._connections += 1
         if self.telemetry is not None:
