@@ -13,9 +13,9 @@ Two claims from docs/continuous_learning.md, measured and asserted:
 * **Shadow mirroring costs < 10% p99 latency at sub-saturation load.**
   Open-loop steady arrivals against a 4-shard gateway, with and
   without a mirror of the same model installed; the mirror batches big
-  and slow (``shadow_max_wait_ms``) and settles comparisons at drain,
-  so the candidate steals almost no scheduler time from the serving
-  path.  Each arm's statistic is the best p99 across interleaved
+  and slow (a fixed 25 ms straggler window) and settles comparisons at
+  drain, so the candidate steals almost no scheduler time from the
+  serving path.  Each arm's statistic is the best p99 across interleaved
   trials: co-tenant interference inflates tails on both arms at
   random, and the per-trial minimum is the estimator that cancels it.
 

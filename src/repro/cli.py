@@ -334,7 +334,8 @@ def _serve_gateway(args, model, events_stream) -> int:
         return 2
     outstream = sys.stdout if args.output == "-" else open(args.output, "w")
     try:
-        with AsyncGateway(model, version=version, config=config) as gateway:
+        with AsyncGateway(model, version=version, config=config,
+                          event_stream=events_stream) as gateway:
             stats = gateway.run_jsonl(instream, outstream)
     finally:
         if instream is not sys.stdin:

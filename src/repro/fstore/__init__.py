@@ -17,11 +17,11 @@ full guide):
   materialization of a columnar campaign store (in memory,
   :meth:`FeatureView.transform_table` is the batch path).
 * :mod:`repro.fstore.online` -- the single-row, no-table request path
-  for serving, with ``repro.resil``-guarded cache reads.
+  for serving, recomputed on every call.
 
 The **parity guarantee**: offline-materialized and online-computed
 features are bit-identical float64 for the same logical row, invariant
-to chunking and cache state -- proven by
+to chunking and to the offline chunk cache -- proven by
 ``tests/fstore/`` against property-generated rows, with golden view
 fingerprints that fail loudly when a definition changes without a
 version bump.

@@ -202,7 +202,9 @@ def _lag_online(row: Mapping, source: str,
     value for a run's very first row).  ``params`` holds one lag
     feature's parameters each; the history is validated once for all.
     """
-    history = row.get(PAST_THROUGHPUT_FIELD) or ()
+    history = row.get(PAST_THROUGHPUT_FIELD)
+    if history is None:
+        history = ()
     if not isinstance(history, (Sequence, np.ndarray)) or isinstance(
         history, (str, bytes)
     ):

@@ -59,6 +59,14 @@ __all__ = ["AsyncGateway", "GatewayConfig", "GatewayStats", "run_open_loop"]
 
 _LOG = obs.get_logger("gateway")
 
+#: Straggler window for the shadow shard's micro-batcher.  Mirror
+#: traffic has no latency SLO (comparisons settle at connection drain),
+#: so a long window turns the mirror into large, infrequent batches --
+#: the candidate steals far fewer scheduler slices from the serving
+#: path, which is what holds mirroring's p99 overhead under 10% in
+#: benchmarks/bench_rollout.py.
+_SHADOW_MAX_WAIT_S = 0.025
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -84,18 +92,6 @@ class GatewayConfig:
     #: ``"thread"`` (in-process models) or ``"process"`` (one worker
     #: process per shard; crash-isolated).
     backend: str = "thread"
-    mp_context: str | None = None
-    #: Backend for the shadow mirror shard; None follows ``backend``.
-    #: ``"process"`` keeps an untrusted candidate's predictions out of
-    #: the serving process entirely.
-    shadow_backend: str | None = None
-    #: Straggler window for the shadow shard's micro-batcher.  Mirror
-    #: traffic has no latency SLO (comparisons settle at connection
-    #: drain), so a long window turns the mirror into large, infrequent
-    #: batches -- the candidate steals far fewer scheduler slices from
-    #: the serving path, which is what holds mirroring's p99 overhead
-    #: under 10% in benchmarks/bench_rollout.py.
-    shadow_max_wait_ms: float = 25.0
     #: Windowed telemetry plane + the gateway SLOs it evaluates.
     telemetry: bool = True
     window_s: float = 60.0
@@ -203,7 +199,8 @@ class AsyncGateway:
     def __init__(self, model, version: int = 1,
                  config: GatewayConfig | None = None, *,
                  telemetry: TelemetryPlane | None = None,
-                 breaker_clock=time.monotonic):
+                 breaker_clock=time.monotonic,
+                 event_stream=None):
         self.config = config or GatewayConfig()
         if self.config.shards < 1:
             raise ValueError("shards must be >= 1")
@@ -213,6 +210,8 @@ class AsyncGateway:
         self._codecs: dict[int, RequestCodec] = {
             self.version: RequestCodec(model)
         }
+        #: The telemetry plane: the one passed in, else the config's
+        #: default, whose SLO and drift events go to ``event_stream``.
         self.telemetry = telemetry
         if self.telemetry is None and self.config.telemetry:
             self.telemetry = TelemetryPlane(
@@ -220,6 +219,7 @@ class AsyncGateway:
                 slow_window_s=self.config.slow_window_s,
                 slos=self.default_slos(self.config),
                 baseline=baseline_of(model),
+                event_stream=event_stream,
             )
         self.shards = [
             PredictorShard(
@@ -234,7 +234,6 @@ class AsyncGateway:
                 breaker_reset_s=self.config.breaker_reset_s,
                 breaker_clock=breaker_clock,
                 telemetry=self.telemetry,
-                mp_context=self.config.mp_context,
             )
             for i in range(self.config.shards)
         ]
@@ -325,8 +324,8 @@ class AsyncGateway:
     def set_shadow(self, model, version: int) -> None:
         """Mirror admitted traffic to a candidate; never answer with it.
 
-        The candidate gets its own single shard (thread backend, its
-        queue sized for the whole fleet's traffic) and every valid
+        The candidate gets its own single shard (the fleet's backend,
+        its queue sized for the whole fleet's traffic) and every valid
         request is submitted there *in addition to* its primary shard.
         The admit path only enqueues the mirror and parks the future
         pair; comparisons settle in one batch at connection drain,
@@ -340,12 +339,11 @@ class AsyncGateway:
         version = int(version)
         shard = PredictorShard(
             len(self.shards) + 1, model, version,
-            backend=self.config.shadow_backend or self.config.backend,
-            mp_context=self.config.mp_context,
+            backend=self.config.backend,
             queue_depth=self.config.queue_depth * len(self.shards),
             # The mirror batches big and slow: nobody waits on it.
             max_batch_size=self.config.max_batch_size * len(self.shards),
-            max_wait_s=self.config.shadow_max_wait_ms / 1000.0,
+            max_wait_s=_SHADOW_MAX_WAIT_S,
             predict_attempts=self.config.predict_attempts,
             breaker_threshold=self.config.breaker_threshold,
             breaker_reset_s=self.config.breaker_reset_s,

@@ -136,9 +136,9 @@ def _shard_worker_main(conn, shard_index: int, obs_enabled: bool) -> None:
 class ProcessShardExecutor:
     """One worker process per shard, restarted lazily after a crash."""
 
-    def __init__(self, shard_index: int, context: str | None = None):
+    def __init__(self, shard_index: int):
         self.shard_index = shard_index
-        self._ctx = multiprocessing.get_context(context or default_context())
+        self._ctx = multiprocessing.get_context(default_context())
         #: version -> serialized payload, re-shipped after a respawn.
         self._payloads: dict[int, dict] = {}
         self._lock = threading.Lock()

@@ -82,7 +82,6 @@ class PredictorShard:
         breaker_reset_s: float = 5.0,
         breaker_clock=time.monotonic,
         telemetry=None,
-        mp_context: str | None = None,
     ):
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
@@ -99,7 +98,7 @@ class PredictorShard:
             telemetry=telemetry,
         )
         if backend == "process":
-            self.executor = ProcessShardExecutor(index, context=mp_context)
+            self.executor = ProcessShardExecutor(index)
         else:
             self.executor = ThreadShardExecutor(index)
         self.breaker = CircuitBreaker(

@@ -187,6 +187,10 @@ class PredictionPipeline:
     def __init__(self, model, scaler: StandardScaler | None = None):
         self.model = model
         self.scaler = scaler
+        #: ``(stamp fingerprint, FeatureView)`` for :meth:`predict_row`,
+        #: rebuilt only when the stamp changes: a kept view reuses the
+        #: row plan it compiled on first use.
+        self._row_view = None
 
     def _transform(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -211,13 +215,17 @@ class PredictionPipeline:
         """
         from repro import fstore
 
-        view = fstore.view_of(self)
-        if view is None:
+        stamp = fstore.view_of(self)
+        if stamp is None:
             raise RuntimeError(
                 "pipeline has no feature_view_ stamp; publish it through "
                 "repro.fstore.attach_view to enable row predictions"
             )
-        x = fstore.view_from_dict(view["view"]).transform_row(row)
+        if self._row_view is None or \
+                self._row_view[0] != stamp["fingerprint"]:
+            self._row_view = (stamp["fingerprint"],
+                              fstore.view_from_dict(stamp["view"]))
+        x = self._row_view[1].transform_row(row)
         return float(self.predict(x[None, :])[0])
 
     def predict_proba(self, X) -> np.ndarray:

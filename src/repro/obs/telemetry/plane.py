@@ -38,11 +38,7 @@ class TelemetryPlane:
         clock: Clock = system_clock,
         slos=(),
         baseline: DriftBaseline | None = None,
-        drift_z_threshold: float = 6.0,
-        drift_shift_threshold: float = 0.5,
-        drift_min_count: int = 30,
         event_stream=None,
-        eval_interval_s: float | None = None,
     ):
         if slow_window_s < window_s:
             raise ValueError("slow_window_s must be >= window_s")
@@ -53,18 +49,12 @@ class TelemetryPlane:
         self.slos = list(slos)
         self.monitor = SLOMonitor(self.slos, self.fast, self.slow,
                                   event_log=self.events)
-        self._drift_thresholds = (drift_z_threshold, drift_shift_threshold,
-                                  drift_min_count)
         self.drift: DriftMonitor | None = None
         if baseline is not None:
             self.rebind_baseline(baseline)
         #: Cumulative per-counter totals since construction -- the whole
         #: run's error budget is judged on these, not on a window.
         self.totals: dict[str, float] = {}
-        self.eval_interval_s = (
-            eval_interval_s if eval_interval_s is not None
-            else self.fast.window_s / self.fast.n_buckets
-        )
         self._last_eval = float("-inf")
         self._last_result: dict | None = None
 
@@ -98,13 +88,9 @@ class TelemetryPlane:
         if baseline is None:
             self.drift = None
             return
-        z, shift, min_count = self._drift_thresholds
         self.drift = DriftMonitor(
             baseline,
             self.fast.histogram(f"drift.{baseline.stat}"),
-            z_threshold=z,
-            shift_threshold=shift,
-            min_count=min_count,
             event_log=self.events,
         )
 
@@ -141,7 +127,8 @@ class TelemetryPlane:
 
     def maybe_evaluate(self) -> dict | None:
         """Evaluate at most once per fast bucket; None when rate-limited."""
-        if self.clock() - self._last_eval < self.eval_interval_s:
+        bucket_s = self.fast.window_s / self.fast.n_buckets
+        if self.clock() - self._last_eval < bucket_s:
             return None
         return self.evaluate()
 

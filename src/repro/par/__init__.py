@@ -12,9 +12,10 @@ Three pieces (docs/parallelism.md has the full guide):
 * :mod:`repro.par.cache` -- config-fingerprinted ``.npz`` disk caching
   used by :func:`repro.datasets.generate.generate_datasets`.
 
-Consumers: ``sim.collection`` (per-pass campaign fan-out), ``ml.forest``
-(per-tree fitting), ``ml.model_selection`` (folds x grid points) and
-``datasets.generate`` (per-area generation).  ``tools/lint.py``
+Consumers: ``sim.collection`` (per-pass campaign fan-out, through
+:func:`pmap_stream`, the generator :func:`pmap` collects),
+``ml.model_selection`` (folds x grid points) and ``datasets.generate``
+(per-area generation).  ``tools/lint.py``
 (``par.raw-pool``) keeps raw ``multiprocessing.Pool`` use out of the rest of the library.
 """
 

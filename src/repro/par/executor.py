@@ -1,7 +1,9 @@
 """Process-pool ``pmap`` with ordered results and obs metric merge-back.
 
 ``pmap(fn, items)`` maps a picklable, *pure* function over a task list on
-a ``multiprocessing`` pool and returns results in input order.  It is the
+a ``multiprocessing`` pool and returns results in input order; it is the
+list of :func:`pmap_stream`, the one pool driver, which yields the same
+results one at a time with bounded in-flight work.  This module is the
 only place in the repo allowed to own a process pool
 (``tools/lint.py`` rule ``par.raw-pool``).
 
@@ -183,12 +185,6 @@ def _picklable(fn: Callable) -> bool:
         return False
 
 
-def _run_serial(fn: Callable, items: list) -> list:
-    obs.inc("par.serial_fallback_total")
-    obs.inc("par.tasks_total", len(items))
-    return [_run_task_with_retry(fn, item, i) for i, item in enumerate(items)]
-
-
 def _rescue_chunk(fn: Callable, items: Sequence, start: int) -> tuple[list, dict]:
     """Re-execute an irrecoverable chunk serially in the parent.
 
@@ -225,78 +221,12 @@ def pmap(
     Parameters mirror the env knobs: ``workers=None`` defers to
     ``REPRO_WORKERS`` (serial when unset), ``context=None`` defers to
     ``REPRO_MP_CONTEXT``.  ``chunk_size`` only affects scheduling
-    granularity, never results.
+    granularity, never results.  The pool, retries and rescue are
+    :func:`pmap_stream`'s; this collects its whole stream.
     """
-    items = list(items)
-    n = len(items)
-    if n == 0:
-        return []
-    w = min(resolve_workers(workers), n)
-    if w <= 1:
-        return _run_serial(fn, items)
-    if not _picklable(fn):
-        obs.inc("par.pickle_fallback_total")
-        return _run_serial(fn, items)
-
-    if chunk_size is None:
-        chunk_size = max(1, math.ceil(n / (w * _CHUNKS_PER_WORKER)))
-    chunks = _chunked(items, chunk_size)
-    starts = [i * chunk_size for i in range(len(chunks))]
-    runner = _ChunkRunner(fn)
-    chunk_out: list = [None] * len(chunks)
-    rescue: list[int] = []
-    ctx = multiprocessing.get_context(context or default_context())
-    name = label or getattr(fn, "__name__", type(fn).__name__)
-    with obs.span("par.pmap", label=name, workers=w, tasks=n,
-                  chunks=len(chunks)):
-        with ctx.Pool(
-            processes=w,
-            initializer=_worker_init,
-            initargs=(obs.enabled(),),
-        ) as pool:
-            attempt = 0
-            pending = {
-                ci: pool.apply_async(runner, ((starts[ci], 0, chunk),))
-                for ci, chunk in enumerate(chunks)
-            }
-            while pending:
-                failed: list[int] = []
-                for ci in sorted(pending):
-                    try:
-                        chunk_out[ci] = pending[ci].get()
-                    except Exception:
-                        obs.inc("resil.par.chunk_failures_total")
-                        failed.append(ci)
-                if not failed:
-                    break
-                attempt += 1
-                if attempt >= _MAX_CHUNK_ATTEMPTS:
-                    rescue = failed
-                    break
-                obs.inc("resil.par.chunk_retries_total", len(failed))
-                pending = {
-                    ci: pool.apply_async(
-                        runner, ((starts[ci], attempt, chunks[ci]),)
-                    )
-                    for ci in failed
-                }
-        # Outside the pool: chunks the pool could not finish re-run
-        # serially in the parent, so one poisoned worker path can no
-        # longer discard every completed pass.
-        for ci in rescue:
-            chunk_out[ci] = _rescue_chunk(fn, chunks[ci], starts[ci])
-
-    results: list = []
-    registry = obs.get_registry()
-    merge = obs.enabled()
-    for chunk_results, delta in chunk_out:
-        results.extend(chunk_results)
-        if merge:
-            registry.merge(delta)
-    obs.inc("par.tasks_total", n)
-    obs.inc("par.parallel_runs_total")
-    obs.set_gauge("par.last_workers", w)
-    return results
+    return list(pmap_stream(fn, items, workers=workers,
+                            chunk_size=chunk_size, context=context,
+                            label=label))
 
 
 #: Chunks kept in flight per worker by :func:`pmap_stream`.  Two keeps
@@ -321,7 +251,7 @@ def pmap_stream(
     context: str | None = None,
     label: str | None = None,
 ):
-    """Like :func:`pmap`, but a *generator* with bounded in-flight work.
+    """:func:`pmap` as a *generator* with bounded in-flight work.
 
     Results arrive in input order, yet at most
     ``workers * _STREAM_INFLIGHT_PER_WORKER`` chunks exist at once --
@@ -331,12 +261,11 @@ def pmap_stream(
     consumer appends each result to disk and drops it, so peak memory
     is set by the window, not the campaign.
 
-    Semantics otherwise match :func:`pmap` exactly -- per-task seeding
-    keeps results bit-identical at any worker count, worker obs deltas
-    merge back in chunk order (as each chunk is consumed), and a chunk
-    that keeps failing on the pool is retried ``_MAX_CHUNK_ATTEMPTS``
-    times then rescued serially in the parent.  The pool lives until the
-    generator is exhausted or closed.
+    Per-task seeding keeps results bit-identical at any worker count,
+    worker obs deltas merge back in chunk order (as each chunk is
+    consumed), and a chunk that keeps failing on the pool is retried
+    ``_MAX_CHUNK_ATTEMPTS`` times then rescued serially in the parent.
+    The pool lives until the generator is exhausted or closed.
     """
     items = list(items)
     n = len(items)

@@ -17,7 +17,9 @@ from repro.fstore.ops import OPS
 
 def lag_online(row: Mapping, source: str, *, lag: int) -> float:
     """One lag of one row, validating the row's history on every call."""
-    history = row.get(PAST_THROUGHPUT_FIELD) or ()
+    history = row.get(PAST_THROUGHPUT_FIELD)
+    if history is None:
+        history = ()
     if not isinstance(history, (Sequence, np.ndarray)) or isinstance(
         history, (str, bytes)
     ):

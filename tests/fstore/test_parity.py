@@ -158,39 +158,10 @@ class TestOfflineParity:
 
 
 class TestOnlineParity:
-    def test_server_matches_offline_with_and_without_cache(self, tmp_path):
+    def test_server_matches_offline(self):
         t = edge_case_table()
         view = combination_view("T+M+C", past_throughput_lags=5)
         reference = view.transform_table(t).X
-        plain = OnlineFeatureServer(view)
-        cached = OnlineFeatureServer(view, cache=str(tmp_path))
-        rows = online_rows(t)
-        for i, row in enumerate(rows):
-            expected = reference[i]
-            assert plain.vector(row).tobytes() == expected.tobytes()
-            miss = cached.vector(row)   # computes + persists
-            hit = cached.vector(row)    # served from the vector cache
-            assert miss.tobytes() == expected.tobytes()
-            assert hit.tobytes() == expected.tobytes()
-
-    def test_flaky_cache_falls_back_to_recompute(self, tmp_path,
-                                                 monkeypatch):
-        """With the fstore.online_read seam firing on every read, the
-        server must exhaust its retries, count a fallback, and still
-        return the bit-exact vector -- the cache can slow serving down
-        but never wrong it."""
-        monkeypatch.setenv("REPRO_FAULTS", "fstore.online_read:1.0")
-        t = edge_case_table()
-        view = combination_view("L+M+C", past_throughput_lags=5)
-        reference = view.transform_table(t).X
-        server = OnlineFeatureServer(view, cache=str(tmp_path),
-                                     sleep=lambda s: None)
-        obs.set_enabled(True)
-        fallbacks = obs.get_registry().counter(
-            "fstore.online.cache_fallbacks_total")
-        before = fallbacks.value
-        rows = online_rows(t)
-        for i, row in enumerate(rows):
-            assert server.vector(row).tobytes() == \
-                reference[i].tobytes()
-        assert fallbacks.value == before + len(rows)
+        server = OnlineFeatureServer(view)
+        for i, row in enumerate(online_rows(t)):
+            assert server.vector(row).tobytes() == reference[i].tobytes()

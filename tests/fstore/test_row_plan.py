@@ -76,6 +76,7 @@ EDGE_OVERRIDES = [
     {PAST_THROUGHPUT_FIELD: None},
     {PAST_THROUGHPUT_FIELD: (7.5, 8.5, 9.5)},
     {PAST_THROUGHPUT_FIELD: np.asarray([7.5])},
+    {PAST_THROUGHPUT_FIELD: np.asarray([500.0, 480.0])},
     # numeric strings, in fields and in the history
     {"pixel_x": "12.25", "moving_speed_mps": " 3 ", "lte_rsrp": "-85.5",
      "compass_direction_deg": "1e2", "mobility_angle_deg": "nan",
@@ -111,9 +112,6 @@ MALFORMED_HISTORY = [
     ("None entry", [500.0, None]),
     ("non-numeric entry", ["fast"]),
     ("nested entry", [[500.0]]),
-    # Both read the history with `or ()`, which has no truth value for
-    # a numpy array of two or more samples (ValueError).
-    ("numpy array", np.asarray([500.0, 480.0])),
 ]
 
 
@@ -178,6 +176,15 @@ def test_malformed_history_raises_like_oracle(label, bad):
     want = outcome(oracle_row, view, row)
     assert want[0] == "raise"
     assert outcome(plan_row, view, row) == want
+
+
+def test_ndarray_history_reads_like_a_list():
+    view = combination_view("L+M+C", past_throughput_lags=LAGS)
+    history = [500.0, 480.0, 470.5]
+    as_list = dict(BASE_ROW, **{PAST_THROUGHPUT_FIELD: history})
+    as_array = dict(BASE_ROW, **{PAST_THROUGHPUT_FIELD: np.asarray(history)})
+    assert view.transform_row(as_array).tobytes() == \
+        view.transform_row(as_list).tobytes()
 
 
 def test_non_mapping_row_raises_like_oracle():

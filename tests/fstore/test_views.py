@@ -125,6 +125,34 @@ class TestModelHandshake:
         for i, row in enumerate(online_rows(t)):
             assert pipe.predict_row(row) == batch[i]
 
+    def test_predict_row_builds_its_view_once_per_stamp(self,
+                                                        monkeypatch):
+        import repro.fstore
+
+        built = []
+        real = repro.fstore.view_from_dict
+
+        def counting(data):
+            built.append(data["name"])
+            return real(data)
+
+        monkeypatch.setattr(repro.fstore, "view_from_dict", counting)
+        t = edge_case_table()
+        view = combination_view("L+M", 5)
+        pipe = PredictionPipeline(_fitted_regressor(view, t))
+        attach_view(pipe, view)
+        row = online_rows(t)[0]
+        first = pipe.predict_row(row)
+        for _ in range(99):
+            assert pipe.predict_row(row) == first
+        assert len(built) == 1
+        # A new stamp is a new view: rebuilt once, then kept again.
+        attach_view(pipe, combination_view("L", 5))
+        pipe.model = _fitted_regressor(combination_view("L", 5), t)
+        pipe.predict_row(row)
+        pipe.predict_row(row)
+        assert len(built) == 2
+
     def test_predict_row_needs_a_stamp(self):
         pipe = PredictionPipeline(
             _fitted_regressor(combination_view("L", 5), edge_case_table()))

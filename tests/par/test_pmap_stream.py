@@ -5,6 +5,7 @@ import pytest
 
 from repro import obs
 from repro.par import pmap, pmap_stream, spawn_seeds
+from repro.resil import faults
 from repro.par.executor import _STREAM_INFLIGHT_PER_WORKER
 
 
@@ -84,6 +85,47 @@ class TestResilience:
         with pytest.raises(RuntimeError, match="task 5 failed"):
             list(pmap_stream(_boom_on_5, range(8), workers=2,
                              chunk_size=2))
+
+    @pytest.mark.parametrize("workers,chunk_size",
+                             [(1, 1), (1, 3), (2, 1), (2, 3)])
+    def test_fault_schedule_same_for_pmap_and_stream(
+            self, monkeypatch, workers, chunk_size):
+        """Under a ``par.worker_crash`` schedule both entry points give
+        the fault-free results and count the same retries and rescues.
+
+        Seed 9 at rate 0.3 never fails one task on all three of its
+        first attempts, and at ``chunk_size=3`` fails three chunks on
+        all three pool attempts: those go to the serial rescue.
+        """
+        monkeypatch.setenv(faults.FAULTS_ENV, "par.worker_crash:0.3")
+        monkeypatch.setenv(faults.FAULTS_SEED_ENV, "9")
+        drivers = {
+            "pmap": pmap,
+            "pmap_stream": lambda *a, **kw: list(pmap_stream(*a, **kw)),
+        }
+        obs.set_enabled(True)
+        registry = obs.get_registry()
+        counted = {}
+        try:
+            for name, driver in drivers.items():
+                faults.reset()
+                registry.reset()
+                got = driver(_square, range(12), workers=workers,
+                             chunk_size=chunk_size)
+                assert got == [x * x for x in range(12)], name
+                counted[name] = {
+                    k: v for k, v in registry.snapshot()["counters"].items()
+                    if k.startswith("resil.par.") or k == "par.tasks_total"
+                }
+        finally:
+            faults.reset()
+            registry.reset()
+        assert counted["pmap"] == counted["pmap_stream"]
+        assert counted["pmap"]["par.tasks_total"] == 12
+        assert counted["pmap"]["resil.par.task_retries_total" if workers == 1
+                               else "resil.par.chunk_retries_total"] > 0
+        if workers == 2 and chunk_size == 3:
+            assert counted["pmap"]["resil.par.serial_rescues_total"] == 3
 
     def test_serial_errors_propagate(self):
         with pytest.raises(RuntimeError, match="task 5 failed"):

@@ -1,7 +1,13 @@
 """Deterministic fault injection: spec parsing, scheduling, activation."""
 
+import importlib
+import pkgutil
+import re
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import obs
 from repro.resil import faults
 from repro.resil.faults import (
@@ -177,6 +183,19 @@ class TestCatalog:
         ):
             assert point in points, point
             assert points[point]  # described
+
+    def test_docs_table_names_every_registered_point(self):
+        """docs/robustness.md's "Registered points" table lists exactly
+        the catalog, once every module that registers a seam is loaded."""
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            if not module.name.endswith("__main__"):
+                importlib.import_module(module.name)
+        doc = (Path(__file__).resolve().parents[2] / "docs"
+               / "robustness.md").read_text()
+        table = doc.split("Registered points", 1)[1].split("\n\n", 2)[1]
+        documented = re.findall(r"^\| `([^`]+)` \|", table, re.MULTILINE)
+        assert len(documented) == len(set(documented))
+        assert set(documented) == set(faults.registered_points())
 
     def test_register_point_idempotent(self):
         faults.register_point("par.worker_crash", "should not overwrite")

@@ -227,25 +227,29 @@ class TestTelemetry:
     def test_strict_exits_1_on_burned_budget(self, tmp_path, model,
                                              model_file, monkeypatch,
                                              capsys):
+        """Both front doors exit 1 and write the SLO alert event."""
         from repro.resil import faults
 
         _, X = model
         requests = _write_requests(tmp_path, X[:8])
-        out = tmp_path / "responses.jsonl"
-        events = tmp_path / "events.jsonl"
         # Every predict attempt faults: all requests fail, the
         # availability budget burns, --strict must report it.
         monkeypatch.setenv(faults.FAULTS_ENV, "serve.predict:1.0")
-        code = main(["serve", "--model", str(model_file), "--strict",
-                     "--input", str(requests), "--output", str(out),
-                     "--events-out", str(events)])
-        assert code == 1
-        summary = capsys.readouterr().err
-        assert "budget BURNED" in summary
-        assert len(_responses(out)) == 8  # every request still answered
-        kinds = [json.loads(l)["event"]
-                 for l in events.read_text().splitlines()]
-        assert "slo_alert" in kinds
+        for door, flags in (("service", []),
+                            ("gateway", ["--gateway", "--shards", "1"])):
+            out = tmp_path / f"responses-{door}.jsonl"
+            events = tmp_path / f"events-{door}.jsonl"
+            code = main(["serve", "--model", str(model_file), "--strict",
+                         "--input", str(requests), "--output", str(out),
+                         "--events-out", str(events), *flags])
+            assert code == 1, door
+            summary = capsys.readouterr().err
+            assert "budget BURNED" in summary, door
+            # every request still answered
+            assert len(_responses(out)) == 8, door
+            kinds = [json.loads(l)["event"]
+                     for l in events.read_text().splitlines()]
+            assert "slo_alert" in kinds, door
 
     def test_obs_report_renders_snapshot(self, tmp_path, model,
                                          model_file, capsys):
