@@ -96,14 +96,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    from repro.colstore.pipeline import STREAM_MODELS, train_from_store
+    from repro.colstore.pipeline import train_from_store
     from repro.core.pipeline import ModelConfig
     from repro.ml.serialize import model_to_json
 
-    if args.model not in STREAM_MODELS:
-        print(f"fit: model must be one of {STREAM_MODELS} "
-              "(the families with a streaming fit)", file=sys.stderr)
-        return 2
     work_dir = args.work_dir or os.path.join(args.from_store, "_work")
     config = ModelConfig.fast() if args.fast else ModelConfig()
     try:

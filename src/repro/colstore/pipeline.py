@@ -23,7 +23,11 @@ bounded-memory pipeline (docs/colstore.md):
    once, when it was opened, so a pass only maps each chunk's data,
 7. the training-time drift baseline (and, for a refit, the training
    error), scored from the same stream through the models' binned
-   entry points: the float features are read once, to bin them.
+   entry points: the float features are read once, to bin them,
+8. the feature-view stamp (``fstore.attach_view``).
+
+A refit (:func:`refit_from_store`) runs the same body with the model's
+frozen binner in step 4 and ``fit_more_binned_stream`` in step 6.
 
 Every intermediate store is content-addressed, so re-running
 :func:`train_from_store` over the same inputs reuses the cleaned and
@@ -260,33 +264,64 @@ def streamed_error(estimator, feat_reader: ChunkReader,
             "rmse": float(np.sqrt(sq_acc / n))}
 
 
-def _make_stream_model(model: str, task: str, config, seed: int):
-    from repro.ml.forest import (
-        RandomForestClassifier,
-        RandomForestRegressor,
-    )
-    from repro.ml.gbdt import GBDTClassifier, GBDTRegressor
+def _fit_store(store_dir, work_dir, *, span, rows_key, spec, task, config,
+               cleaning, binner_of, fit, **attrs):
+    """The body :func:`train_from_store` and :func:`refit_from_store` share.
 
-    if model == "gdbt":
-        cls = GBDTRegressor if task == "regression" else GBDTClassifier
-        return cls(
-            n_estimators=config.gdbt_estimators,
-            max_depth=config.gdbt_depth,
-            learning_rate=config.gdbt_learning_rate,
-            min_samples_leaf=config.gdbt_min_samples_leaf,
-            random_state=seed,
+    ``binner_of(feats)`` codes the feature chunks; ``fit(chunks, binner,
+    error)`` is the caller's own step on that ``(binned, y)`` stream and
+    returns the fitted estimator plus its own ``info`` keys, where
+    ``error(estimator)`` is the streamed training error of that stream.
+    Returns ``(estimator, info)``; ``info[rows_key]`` counts cleaned rows.
+    """
+    from repro import fstore
+    from repro.core.labels import DEFAULT_CLASSES
+    from repro.datasets.cleaning import clean_stream
+    from repro.fstore.offline import OfflineMaterializer
+
+    if task not in ("regression", "classification"):
+        raise ValueError(f"unknown task {task!r}")
+    raw = ChunkReader(store_dir)
+    with obs.span(span, rows=len(raw), task=task, spec=spec, **attrs):
+        cleaned, report = clean_stream(
+            raw, os.path.join(str(work_dir), "clean"), cleaning
         )
-    if model == "rf":
-        cls = (RandomForestRegressor if task == "regression"
-               else RandomForestClassifier)
-        return cls(
-            n_estimators=config.rf_estimators,
-            max_depth=config.rf_depth,
-            random_state=seed,
+        if len(cleaned) == 0:
+            raise ValueError("cleaning dropped every row; nothing to fit")
+        view = fstore.combination_view(
+            spec, past_throughput_lags=config.past_throughput_lags
         )
-    raise ValueError(
-        f"model {model!r} has no streaming fit; choose from {STREAM_MODELS}"
-    )
+        feats = OfflineMaterializer(view).materialize_store(
+            cleaned, os.path.join(str(work_dir), "features")
+        )
+        label_of = (DEFAULT_CLASSES.classify if task == "classification"
+                    else None)
+        binner = binner_of(feats)
+        chunks = binned_label_chunks(feats, cleaned, binner, work_dir,
+                                     label_of=label_of)
+        estimator, own = fit(
+            chunks, binner,
+            lambda est: streamed_error(est, feats, cleaned, task,
+                                       label_of=label_of, chunks=chunks))
+        # Drift-monitorable and servable from raw rows exactly like
+        # Lumos5G.publish() output; the baseline is streamed, never
+        # gathered, and both round-trip through ml.serialize.
+        estimator.drift_baseline_ = streamed_prediction_baseline(
+            estimator, feats, chunks=chunks).to_dict()
+        fstore.attach_view(estimator, view)
+    return estimator, {
+        "raw_rows": len(raw),
+        rows_key: len(cleaned),
+        "n_chunks": cleaned.n_chunks,
+        "cleaning_report": report,
+        "view": view.name,
+        "view_fingerprint": view.fingerprint(),
+        "raw_digest": raw.manifest.digest(),
+        "features_digest": feats.manifest.digest(),
+        "fit_telemetry": estimator.fit_telemetry_,
+        "drift_baseline": estimator.drift_baseline_,
+        **own,
+    }
 
 
 def train_from_store(
@@ -308,59 +343,26 @@ def train_from_store(
     calls via their content-addressed cache keys.  Returns
     ``(fitted_model, info)`` where ``info`` records the cleaning
     report, the view fingerprint, store digests and row counts --
-    enough provenance to tie the model back to its exact inputs.
+    enough provenance to tie the model back to its exact inputs.  The
+    model carries its drift baseline and its feature-view stamp.
     """
     from repro.core.pipeline import ModelConfig
-    from repro.datasets.cleaning import clean_stream
-    from repro.fstore.offline import OfflineMaterializer
-    from repro.fstore.views import combination_view
 
-    if task not in ("regression", "classification"):
-        raise ValueError(f"unknown task {task!r}")
+    if model not in STREAM_MODELS:
+        raise ValueError(f"model {model!r} has no streaming fit; choose "
+                         f"from {STREAM_MODELS}")
     config = config or ModelConfig()
-    raw = ChunkReader(store_dir)
-    with obs.span("colstore.train_from_store", rows=len(raw),
-                  model=model, task=task, spec=spec):
-        cleaned, report = clean_stream(
-            raw, os.path.join(str(work_dir), "clean"), cleaning
-        )
-        if len(cleaned) == 0:
-            raise ValueError("cleaning dropped every row; nothing to train")
-        view = combination_view(
-            spec, past_throughput_lags=config.past_throughput_lags
-        )
-        feats = OfflineMaterializer(view).materialize_store(
-            cleaned, os.path.join(str(work_dir), "features")
-        )
-        binner = bin_store(feats, max_bins=max_bins)
-        label_of = None
-        if task == "classification":
-            from repro.core.labels import DEFAULT_CLASSES
 
-            label_of = DEFAULT_CLASSES.classify
-        chunks = binned_label_chunks(feats, cleaned, binner, work_dir,
-                                     label_of=label_of)
-        estimator = _make_stream_model(model, task, config, seed)
+    def fit(chunks, binner, _error):
+        estimator = config.estimator(model, task, seed)
         estimator.fit_binned_stream(chunks, binner)
-        # Store-trained models are drift-monitorable exactly like
-        # Lumos5G.publish() output: the training-time prediction
-        # baseline rides along (streamed -- the predictions are never
-        # gathered) and round-trips through ml.serialize.
-        baseline = streamed_prediction_baseline(estimator, feats,
-                                                chunks=chunks)
-        estimator.drift_baseline_ = baseline.to_dict()
-    info = {
-        "raw_rows": len(raw),
-        "train_rows": len(cleaned),
-        "n_chunks": cleaned.n_chunks,
-        "cleaning_report": report,
-        "view": view.name,
-        "view_fingerprint": view.fingerprint(),
-        "raw_digest": raw.manifest.digest(),
-        "features_digest": feats.manifest.digest(),
-        "fit_telemetry": estimator.fit_telemetry_,
-        "drift_baseline": estimator.drift_baseline_,
-    }
+        return estimator, {}
+
+    estimator, info = _fit_store(
+        store_dir, work_dir, span="colstore.train_from_store",
+        rows_key="train_rows", spec=spec, task=task, config=config,
+        cleaning=cleaning, fit=fit, model=model,
+        binner_of=lambda feats: bin_store(feats, max_bins=max_bins))
     obs.inc("colstore.models_trained_total")
     return estimator, info
 
@@ -379,65 +381,32 @@ def refit_from_store(
     """Warm-start an already-fitted stream model on a fresh campaign store.
 
     The continuous-learning refit path (docs/continuous_learning.md):
-    same clean -> materialize plumbing as :func:`train_from_store`, but
-    the feature chunks are binned with the estimator's *own frozen
-    binner* and appended via ``fit_more_binned_stream``, so the refit
-    consumes the drifted store one chunk at a time -- the fresh data
-    never fully materializes.  Attaches a fresh streamed drift baseline
-    (the candidate must be monitored against its own training-time
-    statistics, not its ancestor's) and returns ``(estimator, info)``
-    where ``info["train_error"]`` carries the streamed post-refit error
-    the rollout controller's escalation decision reads.
+    the same clean -> materialize -> baseline body as
+    :func:`train_from_store`, but the feature chunks are binned with the
+    estimator's *own frozen binner* and appended via
+    ``fit_more_binned_stream``, so the refit consumes the drifted store
+    one chunk at a time -- the fresh data never fully materializes.
+    Attaches a fresh streamed drift baseline (the candidate must be
+    monitored against its own training-time statistics, not its
+    ancestor's) and returns ``(estimator, info)`` where
+    ``info["train_error"]`` carries the streamed post-refit error the
+    rollout controller's escalation decision reads.
     """
     from repro.core.pipeline import ModelConfig
-    from repro.datasets.cleaning import clean_stream
-    from repro.fstore.offline import OfflineMaterializer
-    from repro.fstore.views import combination_view
 
-    if task not in ("regression", "classification"):
-        raise ValueError(f"unknown task {task!r}")
     if getattr(estimator, "_binner", None) is None:
         raise ValueError("estimator must be fitted before refit_from_store")
-    config = config or ModelConfig()
-    raw = ChunkReader(store_dir)
-    with obs.span("colstore.refit_from_store", rows=len(raw),
-                  task=task, spec=spec, n_rounds=int(n_rounds)):
-        cleaned, report = clean_stream(
-            raw, os.path.join(str(work_dir), "clean"), cleaning
-        )
-        if len(cleaned) == 0:
-            raise ValueError("cleaning dropped every row; nothing to refit")
-        view = combination_view(
-            spec, past_throughput_lags=config.past_throughput_lags
-        )
-        feats = OfflineMaterializer(view).materialize_store(
-            cleaned, os.path.join(str(work_dir), "features")
-        )
-        label_of = None
-        if task == "classification":
-            from repro.core.labels import DEFAULT_CLASSES
 
-            label_of = DEFAULT_CLASSES.classify
-        chunks = binned_label_chunks(feats, cleaned, estimator._binner,
-                                     work_dir, label_of=label_of)
+    def fit(chunks, _binner, error):
         estimator.fit_more_binned_stream(n_rounds, chunks)
-        baseline = streamed_prediction_baseline(estimator, feats,
-                                                chunks=chunks)
-        estimator.drift_baseline_ = baseline.to_dict()
-        train_error = streamed_error(estimator, feats, cleaned, task,
-                                     label_of=label_of, chunks=chunks)
-    info = {
-        "refit_rows": len(cleaned),
-        "n_chunks": cleaned.n_chunks,
-        "cleaning_report": report,
-        "view": view.name,
-        "view_fingerprint": view.fingerprint(),
-        "raw_digest": raw.manifest.digest(),
-        "features_digest": feats.manifest.digest(),
-        "fit_telemetry": estimator.fit_telemetry_,
-        "drift_baseline": estimator.drift_baseline_,
-        "train_error": train_error,
-        "n_rounds": int(n_rounds),
-    }
+        return estimator, {"train_error": error(estimator),
+                           "n_rounds": int(n_rounds)}
+
+    estimator, info = _fit_store(
+        store_dir, work_dir, span="colstore.refit_from_store",
+        rows_key="refit_rows", spec=spec, task=task,
+        config=config or ModelConfig(), cleaning=cleaning, fit=fit,
+        n_rounds=int(n_rounds),
+        binner_of=lambda _feats: estimator._binner)
     obs.inc("colstore.models_refitted_total")
     return estimator, info

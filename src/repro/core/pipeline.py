@@ -83,6 +83,36 @@ class ModelConfig:
             window_stride=4, rf_estimators=25,
         )
 
+    def estimator(self, model: str, task: str, seed: int):
+        """A fresh ``gdbt``/``rf``/``knn``/``ok`` estimator for ``task``.
+
+        The one place a config becomes an estimator, for :class:`Lumos5G`
+        and the store path (``repro.colstore.pipeline``) alike.  ``ok``
+        (Ordinary Kriging) is regression only.
+        """
+        if task not in ("regression", "classification"):
+            raise ValueError(f"unknown task {task!r}")
+        regression = task == "regression"
+        if model == "gdbt":
+            return (GBDTRegressor if regression else GBDTClassifier)(
+                n_estimators=self.gdbt_estimators, max_depth=self.gdbt_depth,
+                learning_rate=self.gdbt_learning_rate,
+                min_samples_leaf=self.gdbt_min_samples_leaf,
+                random_state=seed,
+            )
+        if model == "rf":
+            return (RandomForestRegressor if regression
+                    else RandomForestClassifier)(
+                n_estimators=self.rf_estimators, max_depth=self.rf_depth,
+                random_state=seed,
+            )
+        if model == "knn":
+            return (KNNRegressor if regression
+                    else KNNClassifier)(n_neighbors=self.knn_k)
+        if model == "ok" and regression:
+            return OrdinaryKriging(random_state=seed)
+        raise ValueError(f"no {task} row model {model!r}")
+
 
 @dataclass
 class RegressionResult:
@@ -209,48 +239,30 @@ class Lumos5G:
 
     # ------------------------------------------------------------------ #
 
-    def _make_regressor(self, model: str, spec: str):
-        cfg = self.config
-        if model == "gdbt":
-            return GBDTRegressor(
-                n_estimators=cfg.gdbt_estimators, max_depth=cfg.gdbt_depth,
-                learning_rate=cfg.gdbt_learning_rate,
-                min_samples_leaf=cfg.gdbt_min_samples_leaf,
-                random_state=self.seed,
+    def _estimator(self, model: str, task: str, spec: str):
+        if model == "ok" and parse_combination(spec) != ["L"]:
+            raise ValueError(
+                "Ordinary Kriging interpolates coordinates and only "
+                "applies to the L feature group (paper Table 9: NA)"
             )
-        if model == "knn":
-            return KNNRegressor(n_neighbors=cfg.knn_k)
-        if model == "rf":
-            return RandomForestRegressor(
-                n_estimators=cfg.rf_estimators, max_depth=cfg.rf_depth,
-                random_state=self.seed,
-            )
-        if model == "ok":
-            if parse_combination(spec) != ["L"]:
-                raise ValueError(
-                    "Ordinary Kriging interpolates coordinates and only "
-                    "applies to the L feature group (paper Table 9: NA)"
-                )
-            return OrdinaryKriging(random_state=self.seed)
-        raise ValueError(f"unknown row-model {model!r}")
+        return self.config.estimator(model, task, self.seed)
 
-    def _make_classifier(self, model: str):
-        cfg = self.config
-        if model == "gdbt":
-            return GBDTClassifier(
-                n_estimators=cfg.gdbt_estimators, max_depth=cfg.gdbt_depth,
-                learning_rate=cfg.gdbt_learning_rate,
-                min_samples_leaf=cfg.gdbt_min_samples_leaf,
-                random_state=self.seed,
-            )
-        if model == "knn":
-            return KNNClassifier(n_neighbors=cfg.knn_k)
-        if model == "rf":
-            return RandomForestClassifier(
-                n_estimators=cfg.rf_estimators, max_depth=cfg.rf_depth,
-                random_state=self.seed,
-            )
-        raise ValueError(f"unknown native classifier {model!r}")
+    def _split_fit_predict(self, estimator, model: str, X, y):
+        """(y_test, predictions, n_train, n_test) on the 70/30 split."""
+        X_tr, X_te, y_tr, y_te = train_test_split(
+            X, y, test_size=0.3, rng=self.seed
+        )
+        with obs.span("model.fit", model=model, n_train=len(X_tr)):
+            estimator.fit(X_tr, y_tr)
+        with obs.span("model.predict", model=model, n_test=len(X_te)):
+            y_pred = estimator.predict(X_te)
+        return y_te, y_pred, len(X_tr), len(X_te)
+
+    @staticmethod
+    def _count_evaluation(n_tr: int, n_te: int) -> None:
+        obs.inc("pipeline.evaluations_total")
+        obs.set_gauge("pipeline.n_train", n_tr)
+        obs.set_gauge("pipeline.n_test", n_te)
 
     # -- evaluation entry points -------------------------------------------- #
 
@@ -261,24 +273,16 @@ class Lumos5G:
         with obs.span("pipeline.evaluate_regression",
                       area=area, spec=spec, model=model):
             if model == "seq2seq":
-                y_true, y_pred, n_tr, n_te = self._run_seq2seq(area, spec)
+                y_true, y_pred, n_tr, n_te = self._run_seq2seq(
+                    area, spec, self.config.output_len)
+                y_true, y_pred = y_true[:, 0], y_pred[:, 0]
             elif model == "hm":
                 y_true, y_pred, n_tr, n_te = self._run_harmonic(area)
             else:
                 X, y, _, _ = self.design(area, spec)
-                X_tr, X_te, y_tr, y_te = train_test_split(
-                    X, y, test_size=0.3, rng=self.seed
-                )
-                with obs.span("model.fit", model=model, n_train=len(X_tr)):
-                    reg = self._make_regressor(model, spec).fit(X_tr, y_tr)
-                with obs.span("model.predict", model=model,
-                              n_test=len(X_te)):
-                    y_pred = reg.predict(X_te)
-                y_true = y_te
-                n_tr, n_te = len(X_tr), len(X_te)
-        obs.inc("pipeline.evaluations_total")
-        obs.set_gauge("pipeline.n_train", n_tr)
-        obs.set_gauge("pipeline.n_test", n_te)
+                y_true, y_pred, n_tr, n_te = self._split_fit_predict(
+                    self._estimator(model, "regression", spec), model, X, y)
+        self._count_evaluation(n_tr, n_te)
         return RegressionResult(
             area=area, feature_group=spec, model=model,
             mae=mae(y_true, y_pred), rmse=rmse(y_true, y_pred),
@@ -303,20 +307,11 @@ class Lumos5G:
                 n_tr, n_te = reg.n_train, reg.n_test
             else:
                 X, y, _, _ = self.design(area, spec)
-                labels = self.classes.classify(y)
-                X_tr, X_te, l_tr, l_te = train_test_split(
-                    X, labels, test_size=0.3, rng=self.seed
-                )
-                with obs.span("model.fit", model=model, n_train=len(X_tr)):
-                    clf = self._make_classifier(model).fit(X_tr, l_tr)
-                with obs.span("model.predict", model=model,
-                              n_test=len(X_te)):
-                    labels_pred = clf.predict(X_te)
-                labels_true = l_te
-                n_tr, n_te = len(X_tr), len(X_te)
-        obs.inc("pipeline.evaluations_total")
-        obs.set_gauge("pipeline.n_train", n_tr)
-        obs.set_gauge("pipeline.n_test", n_te)
+                labels_true, labels_pred, n_tr, n_te = \
+                    self._split_fit_predict(
+                        self._estimator(model, "classification", spec),
+                        model, X, self.classes.classify(y))
+        self._count_evaluation(n_tr, n_te)
         return ClassificationResult(
             area=area, feature_group=spec, model=model,
             weighted_f1=weighted_f1(labels_true, labels_pred,
@@ -329,7 +324,12 @@ class Lumos5G:
 
     # -- model runners -------------------------------------------------------- #
 
-    def _run_seq2seq(self, area: str, spec: str):
+    def _run_seq2seq(self, area: str, spec: str, output_len: int):
+        """(y_test, predictions, n_train, n_test) of a Seq2Seq model.
+
+        Both targets and predictions are ``(n_test, output_len)``: one
+        column per horizon step, predictions clipped at zero.
+        """
         cfg = self.config
         X, y, run_ids, _ = self.design(area, spec)
         # The LSTM cannot digest NaN (missing signal reports); impute with
@@ -342,7 +342,7 @@ class Lumos5G:
         # both for parity with the paper's "sequence of feature values".
         windows = build_windows(
             X, y, run_ids,
-            input_len=cfg.input_len, output_len=cfg.output_len,
+            input_len=cfg.input_len, output_len=output_len,
             stride=cfg.window_stride,
         )
         if len(windows) < 10:
@@ -369,8 +369,7 @@ class Lumos5G:
         with obs.span("model.predict", model="seq2seq",
                       n_test=int(test_mask.sum())):
             pred = np.atleast_2d(model.predict(windows.X[test_mask]).T).T
-        true = windows.y[test_mask]
-        return (true[:, 0], np.clip(pred[:, 0], 0.0, None),
+        return (windows.y[test_mask], np.clip(pred, 0.0, None),
                 int(train_mask.sum()), int(test_mask.sum()))
 
     def _run_harmonic(self, area: str):
@@ -398,34 +397,7 @@ class Lumos5G:
         output sequence, so one model covers every horizon up to
         ``output_len``.  Returns ``{horizon_step (1-based): MAE}``.
         """
-        cfg = self.config
-        X, y, run_ids, _ = self.design(area, spec)
-        if np.isnan(X).any():
-            col_mean = np.nanmean(X, axis=0)
-            col_mean = np.where(np.isfinite(col_mean), col_mean, 0.0)
-            X = np.where(np.isnan(X), col_mean[None, :], X)
-        windows = build_windows(
-            X, y, run_ids, input_len=cfg.input_len,
-            output_len=output_len, stride=cfg.window_stride,
-        )
-        if len(windows) < 10:
-            raise ValueError("not enough windows for horizon evaluation")
-        train_mask, test_mask = split_by_run(
-            windows.run_ids, test_size=0.3, rng=self.seed,
-            strata=_window_strata(windows.run_ids,
-                                  self._run_strata(area, spec), run_ids),
-        )
-        model = Seq2SeqRegressor(
-            hidden_dim=cfg.seq2seq_hidden,
-            encoder_layers=cfg.seq2seq_layers,
-            epochs=cfg.seq2seq_epochs,
-            batch_size=cfg.seq2seq_batch,
-            learning_rate=cfg.seq2seq_lr,
-            random_state=self.seed,
-        )
-        model.fit(windows.X[train_mask], windows.y[train_mask])
-        pred = np.clip(model.predict(windows.X[test_mask]), 0.0, None)
-        true = windows.y[test_mask]
+        true, pred, _, _ = self._run_seq2seq(area, spec, output_len)
         return {
             k + 1: mae(true[:, k], pred[:, k]) for k in range(output_len)
         }
@@ -440,14 +412,15 @@ class Lumos5G:
         """
         X, y, _, _ = self.design(area, spec)
         with obs.span("model.fit", model=model, n_train=len(X)):
-            return self._make_regressor(model, spec).fit(X, y)
+            return self._estimator(model, "regression", spec).fit(X, y)
 
     def fit_classifier(self, area: str, spec: str, model: str = "gdbt"):
         """Train a deployable throughput-class classifier on all data."""
         X, y, _, _ = self.design(area, spec)
         labels = self.classes.classify(y)
         with obs.span("model.fit", model=model, n_train=len(X)):
-            return self._make_classifier(model).fit(X, labels)
+            return self._estimator(model, "classification", spec).fit(
+                X, labels)
 
     def publish(
         self,
@@ -513,7 +486,8 @@ class Lumos5G:
         """GDBT global feature importance for Fig. 22."""
         X, y, _, names = self.design(area, spec)
         X_tr, _, y_tr, _ = train_test_split(X, y, test_size=0.3, rng=self.seed)
-        reg = self._make_regressor("gdbt", spec).fit(X_tr, y_tr)
+        reg = self.config.estimator("gdbt", "regression", self.seed).fit(
+            X_tr, y_tr)
         return dict(zip(names, reg.feature_importances_.tolist()))
 
     def evaluation_grid(

@@ -410,7 +410,7 @@ class AsyncGateway:
         codec = RequestCodec(model)
         shard = PredictorShard(
             len(self.shards), model, version,
-            backend="thread",
+            backend=self.config.backend,
             queue_depth=self.config.queue_depth * len(self.shards),
             max_batch_size=self.config.max_batch_size,
             max_wait_s=self.config.max_wait_ms / 1000.0,

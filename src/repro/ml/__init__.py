@@ -8,9 +8,7 @@ from repro.ml.gbdt import (
     softmax,
 )
 from repro.ml.harmonic import HarmonicMeanPredictor, harmonic_mean
-from repro.ml.kdtree import KDTree
 from repro.ml.knn import KNNClassifier, KNNRegressor
-from repro.ml.linear import LogisticRegression, RidgeRegressor
 from repro.ml.kriging import (
     OrdinaryKriging,
     fit_spherical_variogram,
@@ -53,14 +51,11 @@ __all__ = [
     "GridSearch",
     "HarmonicMeanPredictor",
     "HistogramTree",
-    "KDTree",
     "KNNClassifier",
     "KNNRegressor",
     "LabelEncoder",
-    "LogisticRegression",
     "OrdinaryKriging",
     "RandomForestClassifier",
-    "RidgeRegressor",
     "RandomForestRegressor",
     "Seq2SeqRegressor",
     "StandardScaler",

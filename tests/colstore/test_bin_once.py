@@ -29,7 +29,6 @@ import pytest
 from repro.colstore import ChunkReader, Manifest
 from repro.colstore.pipeline import (
     LABEL_COLUMN,
-    _make_stream_model,
     bin_store,
     binned_label_chunks,
     feature_matrix_chunks,
@@ -42,7 +41,7 @@ from repro.core.pipeline import ModelConfig
 from repro.datasets.cleaning import clean, clean_stream
 from repro.env.areas import build_airport
 from repro.fstore.offline import OfflineMaterializer
-from repro.fstore.views import combination_view
+from repro.fstore.views import attach_view, combination_view
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbdt import GBDTClassifier, GBDTRegressor
 from repro.ml.serialize import model_to_dict
@@ -257,8 +256,10 @@ class TestStoreFitEqualsRebinningOracle:
             y = np.asarray(next(labels)[LABEL_COLUMN], dtype=float)
             oracle_chunks.append(
                 (binner.transform(X), label_of(y) if label_of else y))
-        oracle = _make_stream_model(model, task, MODEL_CFG, SEED)
+        oracle = MODEL_CFG.estimator(model, task, SEED)
         oracle.fit_binned_stream(lambda: iter(oracle_chunks), binner)
         oracle.drift_baseline_ = streamed_prediction_baseline(
             oracle, feats).to_dict()
+        attach_view(oracle, combination_view(SPEC,
+                                             MODEL_CFG.past_throughput_lags))
         assert _payload(est) == _payload(oracle)

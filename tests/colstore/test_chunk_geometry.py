@@ -19,7 +19,6 @@ import pytest
 from repro.colstore import ChunkReader
 from repro.colstore.pipeline import (
     LABEL_COLUMN,
-    _make_stream_model,
     feature_matrix_chunks,
     train_from_store,
 )
@@ -76,7 +75,7 @@ def _store_fit(stores, rows, model, task):
 
 def _payload(model) -> str:
     data = model_to_dict(model)
-    for key in ("telemetry", "drift_baseline"):
+    for key in ("telemetry", "drift_baseline", "feature_view"):
         data.pop(key, None)
     return json.dumps(data, sort_keys=True)
 
@@ -88,9 +87,9 @@ class TestChunkGeometry:
         store_fit, chunks = _store_fit(stores, WHOLE, model, task)
         assert len(chunks) == 1
         (X, y), = chunks
-        in_memory = _make_stream_model(model, task, MODEL_CFG, SEED).fit(X, y)
+        in_memory = MODEL_CFG.estimator(model, task, SEED).fit(X, y)
         binner = FeatureBinner().fit(X)
-        streamed = _make_stream_model(model, task, MODEL_CFG, SEED)
+        streamed = MODEL_CFG.estimator(model, task, SEED)
         streamed.fit_binned_stream(lambda: iter([(binner.transform(X), y)]),
                                    binner)
         assert _payload(in_memory) == _payload(streamed) == \
@@ -103,7 +102,7 @@ class TestChunkGeometry:
         assert len(chunks) == 3
         binner = FeatureBinner().fit_stream(X for X, _ in chunks)
         coded = [(binner.transform(X), y) for X, y in chunks]
-        streamed = _make_stream_model(model, task, MODEL_CFG, SEED)
+        streamed = MODEL_CFG.estimator(model, task, SEED)
         streamed.fit_binned_stream(lambda: iter(coded), binner)
         assert _payload(streamed) == _payload(store_fit)
         X = np.vstack([X for X, _ in chunks])

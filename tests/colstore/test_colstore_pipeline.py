@@ -6,6 +6,8 @@ predictions, bit for bit -- while the multi-chunk path is a deterministic
 bounded-memory fit of useful quality.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.colstore.pipeline import (
     STREAM_MODELS,
     bin_store,
     binned_label_chunks,
+    feature_matrix_chunks,
     train_from_store,
 )
 from repro.core.labels import DEFAULT_CLASSES
@@ -22,6 +25,8 @@ from repro.datasets.cleaning import clean
 from repro.env.areas import build_airport
 from repro.fstore.views import combination_view
 from repro.ml.gbdt import GBDTClassifier, GBDTRegressor
+from repro.rollout.refit import RefitConfig, build_candidate
+from repro.serve.protocol import RequestCodec
 from repro.sim.collection import CampaignConfig, run_area_campaign
 
 CFG = CampaignConfig(passes_per_trajectory=2, driving_passes=1,
@@ -187,3 +192,40 @@ class TestPlumbing:
             train_from_store(root / "multi", root / "wx", task="ranking",
                              config=MODEL_CFG)
         assert STREAM_MODELS == ("gdbt", "rf")
+
+
+class TestViewStamp:
+    """Store-trained models carry the feature view they were trained on,
+    so they serve raw ``"row"`` requests like ``Lumos5G.publish`` output."""
+
+    def test_stamp_serves_rows_like_features(self, stores):
+        root, _, _ = stores
+        work = root / "wstamp"
+        est, info = train_from_store(root / "multi", work, spec="L+M",
+                                     config=MODEL_CFG, seed=SEED)
+        assert est.feature_view_["fingerprint"] == info["view_fingerprint"]
+        codec = RequestCodec(est)
+        assert codec.feature_server is not None
+        table = next(ChunkReader(work / "clean").iter_chunks())
+        row = {name: (v if isinstance(v, str) else float(v))
+               for name, v in ((n, table[n][0]) for n in table.column_names)}
+        features = next(feature_matrix_chunks(
+            ChunkReader(work / "features")))[0]
+        _, from_row = codec.parse_request(json.dumps({"row": row}))
+        _, from_features = codec.parse_request(
+            json.dumps({"features": features.tolist()}))
+        assert from_row.tobytes() == from_features.tobytes()
+        assert est.predict(from_row[None]).tobytes() == \
+            est.predict(from_features[None]).tobytes()
+
+    def test_cold_retrain_candidate_is_stamped(self, stores, tmp_path):
+        root, _, _ = stores
+        serving, _ = train_from_store(root / "multi", root / "wserving",
+                                      config=MODEL_CFG, seed=SEED)
+        candidate, info = build_candidate(
+            serving, root / "multi", tmp_path,
+            refit=RefitConfig(n_rounds=2, escalate_mae_mbps=0.0),
+            model_config=MODEL_CFG, seed=SEED)
+        assert info["escalated"] is True
+        assert candidate.feature_view_["fingerprint"] == \
+            info["view_fingerprint"] == serving.feature_view_["fingerprint"]

@@ -29,6 +29,14 @@ class TestMultiHorizon:
                                                   output_len=8)
         assert errors[8] > errors[1]
 
+    def test_one_step_horizon_is_the_seq2seq_cell(self, framework):
+        """Both Seq2Seq entry points fit through one body: at the
+        config's own horizon they score the same model exactly."""
+        errors = framework.evaluate_multi_horizon(
+            "Airport", "L+M", output_len=framework.config.output_len)
+        cell = framework.evaluate_regression("Airport", "L+M", "seq2seq")
+        assert errors[1] == cell.mae
+
     def test_rejects_tiny_datasets(self):
         from repro.datasets.frame import Table
 

@@ -21,6 +21,7 @@ import pytest
 
 from repro.gateway import AsyncGateway, GatewayConfig
 from repro.gateway.routing import in_canary
+from repro.ml.gbdt import GBDTRegressor
 
 from _gateway_helpers import ScaledSumModel, SumModel, conn_lines
 
@@ -149,6 +150,27 @@ class TestCanaryRouting:
         assert in_canary("k", 1.0)
         with pytest.raises(ValueError):
             in_canary("k", 1.5)
+
+    def test_canary_follows_fleet_backend(self):
+        """Under the process backend the canary, which answers clients,
+        gets the same worker-process isolation as the fleet."""
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(120, 2))
+        serving, candidate = (
+            GBDTRegressor(n_estimators=4, max_depth=2,
+                          random_state=0).fit(X, scale * X.sum(axis=1))
+            for scale in (1.0, 10.0))
+        lines = conn_lines(0, 8, n_keys=4)
+        config = GatewayConfig(shards=1, backend="process", telemetry=False)
+        with AsyncGateway(serving, version=1, config=config) as gw:
+            gw.set_canary(candidate, 2, fraction=1.0)
+            assert gw._canary.shard.backend == "process"
+            responses = _serve(gw, lines)
+        requests = [json.loads(line) for line in lines]
+        want = candidate.predict(np.array([r["features"] for r in requests]))
+        for req, pred in zip(requests, want):
+            assert responses[req["id"]]["model_version"] == 2
+            assert responses[req["id"]]["prediction"] == pred
 
     def test_clear_canary_restores_primary_everywhere(self):
         lines = conn_lines(0, 30, n_keys=10)

@@ -87,7 +87,8 @@ class TestToleranceBites:
         X_tr, X_te, y_tr, y_te = train_test_split(
             X, y, test_size=0.3, rng=framework.seed
         )
-        model = framework._make_regressor("gdbt", "L").fit(X_tr, y_tr)
+        model = framework.config.estimator(
+            "gdbt", "regression", framework.seed).fit(X_tr, y_tr)
         baseline = mae(y_te, model.predict(X_te))
 
         payload = model_to_dict(model)

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.ml.kdtree import KDTree
-from repro.ml.linear import LogisticRegression, RidgeRegressor
 from repro.ml.metrics import accuracy, mae
+
+from _linear_kdtree import KDTree, LogisticRegression, RidgeRegressor
 
 
 class TestRidge:

@@ -10,8 +10,9 @@ finite matrix.
 import numpy as np
 import pytest
 
-from repro.ml.kdtree import KDTree
 from repro.ml.preprocessing import StandardScaler
+
+from _linear_kdtree import KDTree
 
 
 def _brute_force_knn(points, q, k):

@@ -122,6 +122,20 @@ ROWS = [
      {(1, "colstore.obs-metric")}),
     ("colstore.check_reports_relative_paths", "colstore/bad.py",
      "import numpy as np\nx = np.load('f')\n", {(2, "colstore.mmap-load")}),
+    # -- core -------------------------------------------------------------- #
+    ("core.flags_estimator_built_outside_factory", "core/pipeline.py",
+     "from repro.ml.gbdt import GBDTRegressor\n\n"
+     "def make(cfg, seed):\n"
+     "    return GBDTRegressor(n_estimators=cfg.n, random_state=seed)\n",
+     {(4, "core.estimator-factory")}),
+    ("core.flags_estimator_class_alias_in_colstore", "colstore/pipeline.py",
+     "def make(task):\n    cls = gbdt.GBDTClassifier\n    return cls()\n",
+     {(2, "core.estimator-factory")}),
+    ("core.estimator_allowed_in_factory", "core/pipeline.py",
+     "class ModelConfig:\n    def estimator(self, model, task, seed):\n"
+     "        return OrdinaryKriging(random_state=seed)\n", set()),
+    ("core.estimator_ignored_off_training_paths", "ml/model_selection.py",
+     "def tune():\n    return RandomForestRegressor()\n", set()),
     # -- fstore ------------------------------------------------------------ #
     ("fstore.flags_datasets_import_on_online_path", "fstore/ops.py",
      "from repro.datasets.frame import Table\n",

@@ -51,6 +51,9 @@ PROMOTION_METHODS = frozenset({
 _FIT_METHODS = {"fit", "fit_transform", "partial_fit"}
 _POOLS = {"Pool", "ProcessPoolExecutor"}
 _WRITE_CALLS = {"write_text", "replace", "rename", "open", "dump", "write"}
+_ESTIMATORS = {"GBDTRegressor", "GBDTClassifier", "RandomForestRegressor",
+               "RandomForestClassifier", "KNNRegressor", "KNNClassifier",
+               "OrdinaryKriging"}
 _DATASETS = "repro.datasets"
 
 
@@ -173,6 +176,13 @@ def _state_ref(n: ast.AST) -> bool:
             or (isinstance(n, ast.Name) and n.id == "ROLLOUT_STATE_FILE"))
 
 
+def _estimator_ref(n: ast.AST) -> bool:
+    """A row-model estimator class named in code (``GBDTRegressor(...)``,
+    ``cls = gbdt.GBDTClassifier``); imports are not flagged."""
+    return ((isinstance(n, ast.Name) and n.id in _ESTIMATORS)
+            or (isinstance(n, ast.Attribute) and n.attr in _ESTIMATORS))
+
+
 def _row_gather(n: ast.AST) -> bool:
     """``binned[idx]``-style fancy-indexed row copy (not a slice)."""
     return (isinstance(n, ast.Subscript) and isinstance(n.value, ast.Name)
@@ -216,6 +226,11 @@ RULES: tuple[Rule, ...] = (
          _obs(("inc", "observe", "set_gauge"), "colstore."),
          "no colstore.* obs metric emitted; the chunk read/write hot "
          "paths must stay observable (obs.inc/observe/set_gauge)"),
+    Rule("core.estimator-factory", BANNED,
+         ("core/pipeline.py", "colstore/*"), _estimator_ref,
+         "row-model estimator built outside ModelConfig.estimator; the "
+         "in-memory and store paths must build every estimator from a "
+         "config in one place", exempt_funcs=frozenset({"estimator"})),
     Rule("fstore.online-tables", BANNED,
          ("fstore/ops.py", "fstore/views.py", "fstore/online.py", "serve/*"),
          _imports_datasets,
